@@ -1,10 +1,24 @@
-"""Branch propagation through a square two-path interferometer.
+"""Single-photon propagation through a square two-path interferometer.
 
 Topology is fixed: a beamsplitter at L11 splits the source into two
 localized branches, mirrors at L12 and L21 fold them, and a second
-beamsplitter at L22 merges them into output ports a and b. The engine
-tracks one complex amplitude per branch together with its momentum,
-polarization, and accumulated path length.
+beamsplitter at L22 merges them into output ports a and b. The photon
+amplitude on the two ports is one product of 2x2 two-port matrices,
+
+    out = M_bs2 . M_mirror . diag(g_t, g_r) . M_bs1 . (1, 0)^T,
+
+where t is the branch that keeps the source momentum at L11 and r the
+branch the splitter reflects. Each branch factor
+g_k = sqrt(1 - e_k) exp(i |p| (L_k - L_min)) holds the efficiency e_k of
+an absorber on its input-side arm and its total path length L_k. Both
+mirrors are the same matrix, each acting on the one branch it carries.
+
+Before the product is taken, each call runs one geometry pass: the
+source and every reflection must steer momenta along the arms, the two
+branch packets must be disjoint, and the L22 splitter must be able to
+merge the arriving momenta. The pass also yields the detector momenta.
+A fringe scan evaluates the same product for a whole array of extra
+lengths at once.
 
 Conventions used throughout:
   * at each element the two-port column is (u, v) with u the component
@@ -21,7 +35,7 @@ Conventions used throughout:
 
 An obstruction on one of the input-side arms removes amplitude
 coherently: the blocked branch keeps a factor sqrt(1 - e) and the weight
-e |amplitude|^2 is booked against the absorber.
+e |M_bs1[k, 0]|^2 is booked against the absorber.
 """
 
 from __future__ import annotations
@@ -89,17 +103,6 @@ class Obstruction:
             raise ValueError(
                 f"obstruction efficiency must lie in [0, 1], got {self.efficiency}"
             )
-
-
-@dataclass
-class Branch:
-    """One localized component of the field during propagation."""
-
-    amplitude: complex
-    mode: PhotonMode
-    vertex: str
-    path_length: float
-    reflected: bool
 
 
 @dataclass(eq=False)
@@ -291,54 +294,32 @@ def _unit_direction(layout: Layout, start: str, end: str) -> np.ndarray:
     return d / n
 
 
-def _certify_locality(layout: Layout, branches, tolerance: float) -> None:
-    # branch envelopes sit at the midpoints of the two input-side arms
-    packets = []
-    for branch, mirror_vertex in branches:
-        mid = 0.5 * (layout.vertices["L11"] + layout.vertices[mirror_vertex])
-        packets.append(GaussianPacket(center=mid, width=layout.source_width,
-                                      carrier=branch.mode))
-    if not locality_check(packets[0], packets[1], tolerance):
-        overlap = packet_overlap(packets[0], packets[1])
-        raise ConfigurationError(
-            f"branch packets overlap {overlap:.3e} at width {layout.source_width}; "
-            "treating the branches as independently localized needs arm "
-            "separations well beyond the packet width"
-        )
+def _aligned(a: np.ndarray, b: np.ndarray) -> bool:
+    # same test as np.allclose(a, b, rtol=0, atol=_DIR_TOL) at a fraction of its cost
+    return bool((np.abs(a - b) <= _DIR_TOL).all())
 
 
-def _traverse(layout: Layout, branch: Branch, end: str, path_mismatch: float,
-              tally: dict) -> None:
-    pair = (branch.vertex, end)
-    arm = layout.arms[pair]
-    branch.path_length += arm.length
-    if pair == ("L11", "L12"):
-        branch.path_length += path_mismatch
-    obstruction = layout.obstruction
-    if obstruction is not None and obstruction.arm == arm.label:
-        weight = obstruction.efficiency * abs(branch.amplitude) ** 2
-        tally["absorbed"] += weight
-        tally["event"] = InteractionEvent(
-            arm=arm.label,
-            position=0.5 * (layout.vertices[pair[0]] + layout.vertices[pair[1]]),
-            absorbed_weight=weight,
-        )
-        branch.amplitude *= math.sqrt(1.0 - obstruction.efficiency)
-    branch.vertex = end
+def _apply(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    # 2x2 matrix times each column of a (2, n) stack, written out elementwise
+    # so that a column rounds the same whatever n is (matmul does not)
+    return matrix[:, :1] * columns[0] + matrix[:, 1:] * columns[1]
 
 
-def _propagate(layout: Layout, path_mismatch: float,
-               locality_tolerance: float) -> DetectionReport:
+def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float):
+    """Check the geometry once, then evaluate the port amplitudes.
+
+    extra_lower holds extra lengths added to the L11->L12 arm. Returns the
+    (2, n) amplitudes at D1 and D2, one column per extra length, the
+    momenta arriving at D1 and D2, and the absorber event, if any.
+    """
     source = layout.source
     p_mag = source.energy
     bs1 = layout.elements["L11"]
-    bs2 = layout.elements["L22"]
 
-    # decide which mirror the momentum-keeping branch flies toward
+    # t keeps the source momentum at L11, r is the branch the splitter reflects
     p_hat = source.momentum / p_mag
     directions = {v: _unit_direction(layout, "L11", v) for v in ("L12", "L21")}
-    matches = [v for v, d in directions.items()
-               if np.allclose(d, p_hat, rtol=0.0, atol=_DIR_TOL)]
+    matches = [v for v, d in directions.items() if _aligned(d, p_hat)]
     if len(matches) != 1:
         raise ConfigurationError(
             "source momentum must point along exactly one arm leaving L11; "
@@ -348,75 +329,67 @@ def _propagate(layout: Layout, path_mismatch: float,
     r_vertex = "L21" if t_vertex == "L12" else "L12"
 
     reflected_mode = reflect_mode(bs1.reflection, source)
-    if not np.allclose(reflected_mode.momentum / p_mag, directions[r_vertex],
-                       rtol=0.0, atol=_DIR_TOL):
+    if not _aligned(reflected_mode.momentum / p_mag, directions[r_vertex]):
         raise ConfigurationError(
             f"beamsplitter normal at L11 does not steer the reflected branch "
             f"along the arm toward {r_vertex}"
         )
+    routing = ((t_vertex, source), (r_vertex, reflected_mode))
 
-    m1 = port_matrix(bs1)
-    t_branch = Branch(complex(m1[0, 0]), source, "L11", 0.0, reflected=False)
-    r_branch = Branch(complex(m1[1, 0]), reflected_mode, "L11", 0.0, reflected=True)
-    routing = ((t_branch, t_vertex), (r_branch, r_vertex))
+    # branch envelopes sit at the midpoints of the two input-side arms
+    first, second = (
+        GaussianPacket(center=0.5 * (layout.vertices["L11"] + layout.vertices[vertex]),
+                       width=layout.source_width, carrier=mode)
+        for vertex, mode in routing
+    )
+    if not locality_check(first, second, locality_tolerance):
+        raise ConfigurationError(
+            f"branch packets overlap {packet_overlap(first, second):.3e} at width "
+            f"{layout.source_width}; treating the branches as independently "
+            "localized needs arm separations well beyond the packet width"
+        )
 
-    _certify_locality(layout, routing, locality_tolerance)
-
-    tally = {"absorbed": 0.0, "event": None}
-    for branch, mirror_vertex in routing:
-        _traverse(layout, branch, mirror_vertex, path_mismatch, tally)
-
-    for branch, mirror_vertex in routing:
-        mirror = layout.elements[mirror_vertex]
-        mm = port_matrix(mirror)
-        # populated port hops to the other one; entries are exactly +-1
-        branch.amplitude *= mm[0, 1] if branch.reflected else mm[1, 0]
-        branch.mode = reflect_mode(mirror.reflection, branch.mode)
-        branch.reflected = not branch.reflected
-        outgoing = branch.mode.momentum / p_mag
-        if not np.allclose(outgoing, _unit_direction(layout, mirror_vertex, "L22"),
-                           rtol=0.0, atol=_DIR_TOL):
+    exit_momenta = []
+    for vertex, mode in routing:
+        k = layout.elements[vertex].reflection.matrix @ mode.momentum
+        if not _aligned(k / p_mag, _unit_direction(layout, vertex, "L22")):
             raise ConfigurationError(
-                f"mirror at {mirror_vertex} does not steer its branch along "
+                f"mirror at {vertex} does not steer its branch along "
                 f"the arm toward L22"
             )
-
-    for branch, _ in routing:
-        _traverse(layout, branch, "L22", path_mismatch, tally)
-
-    if t_branch.reflected == r_branch.reflected:
-        raise ConfigurationError("branches reach L22 on the same port")
-    u_branch = t_branch if not t_branch.reflected else r_branch
-    v_branch = r_branch if u_branch is t_branch else t_branch
-
-    k_u = u_branch.mode.momentum
-    k_v = v_branch.mode.momentum
-    if np.linalg.norm(bs2.reflection.matrix @ k_v - k_u) > _DIR_TOL * p_mag:
+        exit_momenta.append(k)
+    # the mirrors swap ports, so r reaches L22 on u and t on v
+    k_v, k_u = exit_momenta
+    if np.linalg.norm(layout.elements["L22"].reflection.matrix @ k_v - k_u) > _DIR_TOL * p_mag:
         raise ConfigurationError(
             "branches reach L22 with momenta the beamsplitter cannot merge "
             "into shared output ports"
         )
 
-    # quote amplitudes relative to free flight over the shortest path
-    l_ref = min(t_branch.path_length, r_branch.path_length)
-    for branch, _ in routing:
-        branch.amplitude *= propagation_phase(branch.path_length - l_ref, p_mag)
-
-    m2 = port_matrix(bs2)
-    out = m2 @ np.array([u_branch.amplitude, v_branch.amplitude])
-    by_port = {"a": (complex(out[0]), k_u.copy()), "b": (complex(out[1]), k_v.copy())}
-    amp_d1, mom_d1 = by_port[layout.detectors["D1"]]
-    amp_d2, mom_d2 = by_port[layout.detectors["D2"]]
-
-    return DetectionReport(
-        p_d1=abs(amp_d1) ** 2,
-        p_d2=abs(amp_d2) ** 2,
-        p_absorbed=tally["absorbed"],
-        momentum_d1=mom_d1,
-        momentum_d2=mom_d2,
-        amplitude_d1=amp_d1,
-        event=tally["event"],
-    )
+    m1 = port_matrix(bs1)
+    lengths = [layout.arms[("L11", vertex)].length + (extra_lower if vertex == "L12" else 0.0)
+               + layout.arms[(vertex, "L22")].length for vertex, _ in routing]
+    l_min = np.minimum(*lengths)
+    columns = []
+    event = None
+    for k, (vertex, _) in enumerate(routing):
+        amplitude = m1[k, 0]
+        arm = layout.arms[("L11", vertex)]
+        obstruction = layout.obstruction
+        if obstruction is not None and obstruction.arm == arm.label:
+            event = InteractionEvent(
+                arm=arm.label,
+                position=0.5 * (layout.vertices["L11"] + layout.vertices[vertex]),
+                absorbed_weight=float(obstruction.efficiency * abs(amplitude) ** 2),
+            )
+            amplitude *= math.sqrt(1.0 - obstruction.efficiency)
+        # quote amplitudes relative to free flight over the shortest path
+        columns.append(amplitude * np.exp(1j * p_mag * (lengths[k] - l_min)))
+    # both mirrors have the same angle, so one port matrix acts on (t, r)
+    out = _apply(port_matrix(layout.elements["L22"]),
+                 _apply(port_matrix(layout.elements[t_vertex]), np.array(columns)))
+    order = ["ab".index(layout.detectors[d]) for d in ("D1", "D2")]
+    return out[order], np.array([k_u, k_v])[order], event
 
 
 def propagate_analytic(layout: Layout, locality_tolerance: float = 1e-6) -> DetectionReport:
@@ -426,7 +399,17 @@ def propagate_analytic(layout: Layout, locality_tolerance: float = 1e-6) -> Dete
     momenta along the arms, and returns probabilities that sum to one
     with the absorbed weight.
     """
-    return _propagate(layout, path_mismatch=0.0, locality_tolerance=locality_tolerance)
+    amplitudes, momenta, event = _transfer(layout, np.zeros(1), locality_tolerance)
+    p_d1, p_d2 = np.abs(amplitudes[:, 0]) ** 2
+    return DetectionReport(
+        p_d1=float(p_d1),
+        p_d2=float(p_d2),
+        p_absorbed=0.0 if event is None else event.absorbed_weight,
+        momentum_d1=momenta[0],
+        momentum_d2=momenta[1],
+        amplitude_d1=complex(amplitudes[0, 0]),
+        event=event,
+    )
 
 
 def fringe_scan(layout: Layout, mismatch_range, steps: int,
@@ -447,16 +430,13 @@ def fringe_scan(layout: Layout, mismatch_range, steps: int,
     lo, hi = (float(x) for x in mismatch_range)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("mismatch range must be finite")
-    rows = np.empty((steps, 3))
-    for i, dl in enumerate(np.linspace(lo, hi, steps)):
-        report = _propagate(layout, path_mismatch=float(dl),
-                            locality_tolerance=locality_tolerance)
-        rows[i] = (dl, report.p_d1, report.p_d2)
-    return rows
+    delta_l = np.linspace(lo, hi, steps)
+    amplitudes, _, _ = _transfer(layout, delta_l, locality_tolerance)
+    return np.column_stack((delta_l, (np.abs(amplitudes) ** 2).T))
 
 
 def _chunk_counts(seed: int, start: int, count: int, t1: float, t2: float):
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
+    bitgen = np.random.Philox(key=seed)
     bitgen.advance(start)
     raw = bitgen.random_raw(4 * count)[::4]
     u = (raw >> np.uint64(11)) * 2.0 ** -53
@@ -471,7 +451,8 @@ def shot_batches(layout: Layout, n_shots: int, seed: int,
 
     Shot s always consumes counter block s of a Philox stream keyed by
     the seed (one 256-bit block per shot, first 64-bit word kept), so the
-    outcome of every shot is fixed by (seed, s) alone. Splitting the same
+    outcome of every shot is fixed by (seed, s) alone. The seed is the
+    64-bit Philox key itself and must lie in [0, 2**64). Splitting the same
     run into different batch sizes permutes nothing: concatenating rows
     reproduces `run_shots` exactly.
     """
@@ -481,13 +462,16 @@ def shot_batches(layout: Layout, n_shots: int, seed: int,
     batch_size = int(batch_size)
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit key in [0, 2**64), got {seed}")
     report = propagate_analytic(layout)
     t1 = report.p_d1
     t2 = report.p_d1 + report.p_d2
     rows = []
     for start in range(0, n_shots, batch_size):
         m = min(batch_size, n_shots - start)
-        d1, d2, absorbed = _chunk_counts(int(seed), start, m, t1, t2)
+        d1, d2, absorbed = _chunk_counts(seed, start, m, t1, t2)
         rows.append((start, ShotCounts(d1, d2, absorbed)))
     return rows
 

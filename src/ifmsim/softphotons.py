@@ -145,7 +145,9 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
 
         A = -(2 pi)^-2 sum_{n,m} q_n q_m eta_n eta_m arctanh(b_nm)/b_nm,
 
-    with the diagonal terms taking the b -> 0 limit of 1. For one
+    with the diagonal terms taking the b -> 0 limit of 1. The legs must
+    conserve charge, sum_n eta_n q_n = 0 to a relative 1e-12 of
+    sum_n |q_n|; otherwise A can come out negative. For one
     incoming and one outgoing leg of unit charge this reduces exactly to
     `weinberg_factor_fermion` of the outgoing speed when the incoming
     leg is at rest.
@@ -153,6 +155,12 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
     legs = list(legs)
     if not legs:
         raise ValueError("at least one process leg is required")
+    net_charge = sum(leg.eta * leg.charge for leg in legs)
+    if abs(net_charge) > 1e-12 * sum(abs(leg.charge) for leg in legs):
+        raise ValueError(
+            f"charge conservation requires sum eta_n q_n = 0, got {net_charge:g}; "
+            "the soft-photon factor is defined only for charge-conserving processes"
+        )
     beta = np.asarray(pairwise_beta, dtype=float)
     n = len(legs)
     if beta.shape != (n, n):

@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from ifmsim import build_space, square_layout, with_obstruction
+
+
+def pytest_configure(config):
+    # pyproject's pythonpath puts src on this process's path only; the tests
+    # that start `python -m ifmsim.cli` need it in the child's environment
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
 
 
 @pytest.fixture

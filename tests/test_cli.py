@@ -121,6 +121,24 @@ def test_shots_rejects_malformed_environment_seed(monkeypatch, capsys):
     assert "IFM_SEED must be an integer" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_shots_rejects_seed_outside_64_bits(capsys, seed):
+    code, out, err = invoke(capsys, "shots", "mzi_bomb.ifm", "--n", "10",
+                            "--seed", str(seed))
+    assert code == 1 and out == ""
+    assert "[0, 2**64)" in err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_shots_accepts_seed_range_ends(capsys, seed):
+    code, out, _ = invoke(capsys, "shots", "mzi_bomb.ifm", "--n", "10",
+                          "--seed", str(seed))
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("counts.schema.json"))
+    assert payload["seed"] == seed
+
+
 def test_shots_batch_csv_merges_to_totals(tmp_path, capsys):
     target = tmp_path / "batches.csv"
     code, out, _ = invoke(capsys, "shots", "mzi_bomb.ifm", "--n", "10000",

@@ -146,6 +146,33 @@ def test_fock_chain_with_absorber_matches_engine(two_mode_space, efficiency):
     assert abs(abs(state[space.index_of((0, 1))]) ** 2 - engine.p_d2) < 1e-12
 
 
+def test_fock_chain_with_path_mismatch_matches_kernel(two_mode_space):
+    """Compose splitter, a phase on mode p (the L11->L12 branch), mirror and
+    splitter in the truncated space; the engine's port powers over a fringe
+    scan and its complex D1 amplitude on a lengthened arm must agree."""
+    space = two_mode_space
+    pair = ("p", "q")
+    p_mag = 1.7
+    splitter = v_unitary(space, pair, math.pi / 4)
+    mirror = v_unitary(space, pair, math.pi / 2)
+    i_p, i_q = space.index_of((1, 0)), space.index_of((0, 1))
+    one_p = np.zeros(space.dim, dtype=complex)
+    one_p[i_p] = 1.0
+    n_p = space.occupations[:, space.mode_position("p")]
+
+    square = square_layout(momentum_magnitude=p_mag)
+    for delta_l, p_d1, p_d2 in fringe_scan(square, (0.0, 4.0), 9):
+        phase = np.diag(np.exp(1j * p_mag * delta_l * n_p))
+        out = splitter @ phase @ mirror @ splitter @ one_p
+        assert abs(abs(out[i_p]) ** 2 - p_d1) < 1e-12
+        assert abs(abs(out[i_q]) ** 2 - p_d2) < 1e-12
+
+        layout = square_layout(momentum_magnitude=p_mag)
+        lower = layout.arms[("L11", "L12")]
+        layout.arms[("L11", "L12")] = replace(lower, length=lower.length + delta_l)
+        assert abs(propagate_analytic(layout).amplitude_d1 - out[i_p]) < 1e-12
+
+
 def test_propagation_phase_values():
     assert propagation_phase(0.0, 2.5) == 1.0
     z = propagation_phase(1.25, 2.0)
@@ -277,3 +304,17 @@ def test_shots_validation(square):
         run_shots(square, 0, seed=1)
     with pytest.raises(ValueError, match="batch size"):
         shot_batches(square, 10, seed=1, batch_size=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_shots_refuse_seed_outside_64_bits(square, seed):
+    # a key masked to 64 bits would alias -1 with 2**64 - 1 and 2**64 + 5 with 5
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        shot_batches(square, 10, seed, batch_size=4)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        run_shots(square, 10, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_shots_accept_seed_range_ends(bomb_layout, seed):
+    assert run_shots(bomb_layout, 1000, seed).total == 1000

@@ -107,6 +107,18 @@ def test_general_validation():
         weinberg_factor_general([], [])
 
 
+@pytest.mark.parametrize("legs", [
+    [ProcessLeg(1.0, 1, 0.5)],
+    [ProcessLeg(1.0, -1, 0.0), ProcessLeg(1.0, -1, 0.5)],
+])
+def test_general_refuses_charge_nonconservation(legs):
+    # without the check these give A = -0.0253 and -0.106, which only fail
+    # later in mean_photons with a message about a negative factor
+    pairwise = np.zeros((len(legs), len(legs)))
+    with pytest.raises(ValueError, match="charge conservation"):
+        weinberg_factor_general(legs, pairwise)
+
+
 def test_process_leg_validation():
     with pytest.raises(ValueError, match="eta"):
         ProcessLeg(1.0, 0, 0.5)
