@@ -17,6 +17,18 @@ the identity except for a single diagonal entry -n_max at the fully
 occupied state of that mode. All identities checked here are exact on
 the subspace that keeps a buffer below the cap, and the checks expose
 the restriction explicitly rather than hiding the artifact.
+
+The two-mode rotation conserves the pair photon number n_p + n_q, so it
+is block-diagonal in sectors of fixed pair number and fixed occupations
+of every other mode. `v_unitary` exponentiates each sector's small
+tridiagonal generator by a Hermitian eigendecomposition instead of
+exponentiating the whole dense matrix; the truncation edge only narrows
+the sectors with n_p + n_q > n_max, so the result equals the exponential
+of the dense truncated generator.
+
+Every operator here is a dense dim x dim complex128 matrix, so
+`build_space` refuses any space whose single operator would exceed
+OPERATOR_BYTES (128 MiB, dim <= 2896).
 """
 
 from __future__ import annotations
@@ -26,9 +38,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-DEFAULT_DIM_CAP = 100_000
+# memory budget for one dense dim x dim complex128 operator
+OPERATOR_BYTES = 2**27
 
 _KINDS = ("lowering", "raising")
 
@@ -65,11 +77,12 @@ class FockSpace:
         return tuple(int(n) for n in self.occupations[index])
 
 
-def build_space(modes, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpace:
+def build_space(modes, n_max: int) -> FockSpace:
     """Construct a truncated space for the given mode ids.
 
     Rejects duplicate mode ids, n_max < 1, and any request whose basis
-    dimension (n_max+1)^len(modes) exceeds `dim_cap`.
+    dimension dim = (n_max+1)^len(modes) makes one dense complex128
+    operator, dim^2 * 16 bytes, larger than OPERATOR_BYTES.
     """
     modes = tuple(str(m) for m in modes)
     if len(modes) == 0:
@@ -81,10 +94,12 @@ def build_space(modes, n_max: int, dim_cap: int = DEFAULT_DIM_CAP) -> FockSpace:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     d = n_max + 1
     dim = d ** len(modes)
-    if dim > dim_cap:
+    operator_bytes = dim * dim * np.dtype(np.complex128).itemsize
+    if operator_bytes > OPERATOR_BYTES:
         raise ValueError(
             f"basis dimension (n_max+1)^n_modes = {d}^{len(modes)} = {dim} "
-            f"exceeds the cap of {dim_cap}"
+            f"needs {operator_bytes} bytes per dense complex128 operator, "
+            f"over the budget of {OPERATOR_BYTES} bytes"
         )
     occupations = np.array(list(itertools.product(range(d), repeat=len(modes))), dtype=np.int64)
     return FockSpace(modes=modes, n_max=n_max, dim=dim, occupations=occupations)
@@ -168,9 +183,26 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
     if not math.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
     p, q = _pair_positions(space, mode_pair)
-    gen = ladder(space, p, "raising") @ ladder(space, q, "lowering")
-    gen = gen - ladder(space, q, "raising") @ ladder(space, p, "lowering")
-    return expm(alpha * gen)
+    pos_p, pos_q = space.mode_position(p), space.mode_position(q)
+    n_max = space.n_max
+    stride_p = (n_max + 1) ** (len(space.modes) - 1 - pos_p)
+    stride_q = (n_max + 1) ** (len(space.modes) - 1 - pos_q)
+    # one base index per occupation of the other modes, with p and q empty
+    occ = space.occupations
+    bases = np.flatnonzero((occ[:, pos_p] == 0) & (occ[:, pos_q] == 0))
+    v = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for total in range(2 * n_max + 1):
+        n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
+        # are where the cap stops a+_p or a+_q, as in the dense matrix
+        hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
+        lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
+        # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
+        # real, so the imaginary part is rounding and is dropped
+        block = ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real
+        index = bases[:, None] + n_p * stride_p + (total - n_p) * stride_q
+        v[index[:, :, None], index[:, None, :]] = block
+    return v
 
 
 def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = True) -> float:

@@ -147,7 +147,9 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
 
     with the diagonal terms taking the b -> 0 limit of 1. The legs must
     conserve charge, sum_n eta_n q_n = 0 to a relative 1e-12 of
-    sum_n |q_n|; otherwise A can come out negative. For one
+    sum_n |q_n|; otherwise A can come out negative. Each pairwise
+    speed must also fit the legs' own speeds: with y = atanh(velocity),
+    atanh(b_nm) lies in [|y_n - y_m|, y_n + y_m] to within 1e-9. For one
     incoming and one outgoing leg of unit charge this reduces exactly to
     `weinberg_factor_fermion` of the outgoing speed when the incoming
     leg is at rest.
@@ -178,6 +180,20 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
             "a pairwise relative speed reaches 1; the emission factor diverges "
             "for lightlike relative motion"
         )
+    # the relative rapidity of two legs lies between the difference and the
+    # sum of their own rapidities (antiparallel and parallel motion)
+    rapidity = [math.atanh(leg.velocity) for leg in legs]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = math.atanh(float(beta[i, j]))
+            low = abs(rapidity[i] - rapidity[j])
+            high = rapidity[i] + rapidity[j]
+            if not low - 1e-9 <= pair <= high + 1e-9:
+                raise ValueError(
+                    f"legs {i} and {j}: pairwise rapidity atanh(b_nm) = {pair:.6g} "
+                    f"lies outside the rapidity bound [|y_n - y_m|, y_n + y_m] = "
+                    f"[{low:.6g}, {high:.6g}] set by their speeds, y = atanh(velocity)"
+                )
     total = 0.0
     for i, leg_i in enumerate(legs):
         for j, leg_j in enumerate(legs):

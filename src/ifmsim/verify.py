@@ -82,6 +82,14 @@ def fock_checks(n_max: int = 6) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(fock.commutator(n_total, v)))))
     results.append(CheckResult("photon number conserved", worst, 1e-10))
 
+    # one photon in each input of a balanced splitter: the two ways of
+    # leaving by different ports cancel, so no coincidence is ever seen
+    one_one = space.index_of((1, 1))
+    v = fock.v_unitary(space, pair, math.pi / 4)
+    coincidence = float(abs(v[one_one, one_one]) ** 2)
+    results.append(CheckResult("Hong-Ou-Mandel coincidence (balanced splitter)",
+                               coincidence, 1e-12))
+
     # [a, a+] is the identity except a single -n_max entry at the top state
     a = fock.ladder(space, "p", "lowering")
     comm = fock.commutator(a, a.conj().T)

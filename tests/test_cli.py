@@ -288,6 +288,12 @@ def test_verify_passes(capsys):
     assert "checks passed" in out
 
 
+def test_verify_reports_hong_ou_mandel(capsys):
+    code, out, _ = invoke(capsys, "verify")
+    assert code == 0
+    assert "[PASS] Hong-Ou-Mandel coincidence (balanced splitter): residual" in out
+
+
 def test_verify_exit_two_on_tolerance_failure(monkeypatch, capsys):
     import ifmsim.cli as cli_module
     monkeypatch.setattr(cli_module, "run_verification", lambda stream: False)
@@ -322,3 +328,13 @@ def test_module_entry_point_error_path():
         capture_output=True, text=True)
     assert result.returncode == 1
     assert "error:" in result.stderr
+
+
+def test_import_does_not_load_scipy():
+    # the package depends on numpy alone; a stray scipy import would make
+    # every CLI start pay for it again
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import ifmsim, ifmsim.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +44,13 @@ def test_dimension_cap_names_the_product():
         build_space(("a", "b", "c"), 99)
     message = str(err.value)
     assert "100^3" in message and "1000000" in message and "100000" in message
+
+
+def test_byte_budget_bounds_dense_operators():
+    # dim 90601: one dense complex128 operator would take about 122 GiB
+    with pytest.raises(ValueError, match="131336659216 bytes"):
+        build_space(("p", "q"), 300)
+    assert build_space(("p", "q"), 28).dim == 841
 
 
 def test_ladder_matrix_elements(two_mode_space):
@@ -178,3 +186,18 @@ def test_mirror_angle_exchanges_modes(two_mode_space):
     out = v @ one_p
     assert abs(out[space.index_of((0, 1))] + 1.0) < 1e-14
     assert abs(out[space.index_of((1, 0))]) < 1e-14
+
+
+@pytest.mark.parametrize("pair", [("p", "q"), ("q", "p"), ("r", "q")])
+def test_v_unitary_matches_high_precision_exponential(pair):
+    # the sector-block exponential against mpmath's dense expm of the full
+    # truncated generator, on a three-mode space where the pair is split
+    space = build_space(("p", "r", "q"), 2)
+    p, q = pair
+    gen = (ladder(space, p, "raising") @ ladder(space, q, "lowering")
+           - ladder(space, q, "raising") @ ladder(space, p, "lowering"))
+    alpha = 0.7
+    with mp.workdps(30):
+        ref = mp.expm(mp.matrix((alpha * gen).real.tolist()))
+        ref = np.array(ref.tolist(), dtype=float)
+    assert np.max(np.abs(v_unitary(space, pair, alpha) - ref)) < 1e-13

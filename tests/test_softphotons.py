@@ -119,6 +119,16 @@ def test_general_refuses_charge_nonconservation(legs):
         weinberg_factor_general(legs, pairwise)
 
 
+def test_general_refuses_pairwise_speed_beyond_leg_rapidities():
+    # a leg at rest and a leg at 0.1 have relative speed 0.1; taking 0.9
+    # instead used to return A = 0.0322 against the consistent 1.70e-4
+    legs, _ = _rest_to_beta_legs(0.1)
+    with pytest.raises(ValueError, match=r"legs 0 and 1: pairwise rapidity"):
+        weinberg_factor_general(legs, [[0.0, 0.9], [0.9, 0.0]])
+    consistent = weinberg_factor_general(legs, [[0.0, 0.1], [0.1, 0.0]])
+    assert consistent == pytest.approx(1.70e-4, rel=1e-3)
+
+
 def test_process_leg_validation():
     with pytest.raises(ValueError, match="eta"):
         ProcessLeg(1.0, 0, 0.5)
