@@ -23,6 +23,7 @@ from .data import data_path
 from .dsl import parse_layout
 from .errors import ConfigurationError, DivergenceError
 from .interferometer import (
+    ShotCounts,
     fringe_scan,
     propagate_analytic,
     run_shots,
@@ -137,7 +138,13 @@ def _cmd_shots(args) -> int:
     if layout is None:
         return 1
     seed = _resolve_seed(args)
-    counts = run_shots(layout, args.n, seed)
+    if args.batch_csv is None:
+        counts = run_shots(layout, args.n, seed)
+    else:
+        # the batches cover every shot once, so their sums are the run_shots totals
+        rows = shot_batches(layout, args.n, seed, args.batch_size)
+        counts = ShotCounts(*(sum(getattr(c, k) for _, c in rows)
+                              for k in ("d1", "d2", "absorbed")))
     payload = {
         "n_shots": args.n,
         "seed": seed,
@@ -148,7 +155,7 @@ def _cmd_shots(args) -> int:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["start", "shots", "d1", "d2", "absorbed"])
-        for start, batch in shot_batches(layout, args.n, seed, args.batch_size):
+        for start, batch in rows:
             writer.writerow([start, batch.total, batch.d1, batch.d2, batch.absorbed])
         _emit(buffer.getvalue(), args.batch_csv)
     return 0

@@ -130,6 +130,23 @@ def ladder(space: FockSpace, mode: str, kind: str) -> np.ndarray:
     return np.kron(np.kron(left, a), right)
 
 
+def _lower(space: FockSpace, mode: str, x: np.ndarray) -> np.ndarray:
+    """ladder(space, mode, "lowering") @ x as a row gather.
+
+    Row i of the lowering operator holds one nonzero, sqrt(n + 1) for n
+    quanta of the mode in state i, in the column of the state with one
+    quantum more (none when n = n_max), so the product needs no dense
+    matrix.
+    """
+    pos = space.mode_position(mode)
+    stride = (space.n_max + 1) ** (len(space.modes) - 1 - pos)
+    n = space.occupations[:, pos]
+    rows = np.flatnonzero(n < space.n_max)
+    out = np.zeros_like(x)
+    out[rows] = np.sqrt(n[rows] + 1.0)[:, None] * x[rows + stride]
+    return out
+
+
 def vacuum_state(space: FockSpace) -> np.ndarray:
     state = np.zeros(space.dim, dtype=np.complex128)
     state[0] = 1.0
@@ -218,20 +235,23 @@ def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = T
     """
     p, q = _pair_positions(space, mode_pair)
     v = v_unitary(space, mode_pair, alpha)
-    a_p = ladder(space, p, "lowering")
-    a_q = ladder(space, q, "lowering")
-    c, s = math.cos(alpha), math.sin(alpha)
-    vh = v.conj().T
-    defect_p = vh @ a_p @ v - (c * a_p + s * a_q)
-    defect_q = vh @ a_q @ v - (c * a_q - s * a_p)
+    keep = np.ones(space.dim, dtype=bool)
     if restrict:
         pair_total = (
             space.occupations[:, space.mode_position(p)]
             + space.occupations[:, space.mode_position(q)]
         )
         keep = pair_total < space.n_max
-        defect_p = defect_p[:, keep]
-        defect_q = defect_q[:, keep]
+    a_p = ladder(space, p, "lowering")[:, keep]
+    a_q = ladder(space, q, "lowering")[:, keep]
+    c, s = math.cos(alpha), math.sin(alpha)
+    # V+ (a V) on the kept columns only, with a_p V and a_q V side by side
+    # so that both conjugations share one dense product
+    v_keep = v[:, keep]
+    stacked = np.hstack((_lower(space, p, v_keep), _lower(space, q, v_keep)))
+    conj_p, conj_q = np.hsplit(v.conj().T @ stacked, 2)
+    defect_p = conj_p - (c * a_p + s * a_q)
+    defect_q = conj_q - (c * a_q - s * a_p)
     return max(float(np.linalg.norm(defect_p)), float(np.linalg.norm(defect_q)))
 
 

@@ -72,6 +72,9 @@ _EXPECTED_KINDS = {
 
 _DIR_TOL = 1e-9
 
+# shots whose random words the sampler holds at once
+SHOT_CHUNK = 65536
+
 
 @dataclass
 class Arm:
@@ -435,26 +438,13 @@ def fringe_scan(layout: Layout, mismatch_range, steps: int,
     return np.column_stack((delta_l, (np.abs(amplitudes) ** 2).T))
 
 
-def _chunk_counts(seed: int, start: int, count: int, t1: float, t2: float):
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start)
-    raw = bitgen.random_raw(4 * count)[::4]
-    u = (raw >> np.uint64(11)) * 2.0 ** -53
-    n1 = int(np.count_nonzero(u < t1))
-    n12 = int(np.count_nonzero(u < t2))
-    return n1, n12 - n1, count - n12
+def _sample_batches(layout: Layout, n_shots: int, seed: int, batch_size: int,
+                    chunk_size: int) -> list[tuple[int, ShotCounts]]:
+    """The rows of `shot_batches`, drawing chunk_size shots' words at a time.
 
-
-def shot_batches(layout: Layout, n_shots: int, seed: int,
-                 batch_size: int) -> list[tuple[int, ShotCounts]]:
-    """Counts per batch of shots, as (start index, counts) rows.
-
-    Shot s always consumes counter block s of a Philox stream keyed by
-    the seed (one 256-bit block per shot, first 64-bit word kept), so the
-    outcome of every shot is fixed by (seed, s) alone. The seed is the
-    64-bit Philox key itself and must lie in [0, 2**64). Splitting the same
-    run into different batch sizes permutes nothing: concatenating rows
-    reproduces `run_shots` exactly.
+    One Philox stream serves the whole call, so memory stays bounded
+    whatever the batch size; a batch that spans windows collects its
+    counts from each of them.
     """
     n_shots = int(n_shots)
     if n_shots < 1:
@@ -462,30 +452,57 @@ def shot_batches(layout: Layout, n_shots: int, seed: int,
     batch_size = int(batch_size)
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
+    chunk_size = int(chunk_size)
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit key in [0, 2**64), got {seed}")
     report = propagate_analytic(layout)
-    t1 = report.p_d1
-    t2 = report.p_d1 + report.p_d2
-    rows = []
-    for start in range(0, n_shots, batch_size):
-        m = min(batch_size, n_shots - start)
-        d1, d2, absorbed = _chunk_counts(seed, start, m, t1, t2)
-        rows.append((start, ShotCounts(d1, d2, absorbed)))
-    return rows
+    # for a 53-bit k, k * 2**-53 < t exactly when k < ceil(t * 2**53); a t
+    # that rounds above 1 still admits every k
+    limits = [np.uint64(min(math.ceil(t * 2.0**53), 2**53))
+              for t in (report.p_d1, report.p_d1 + report.p_d2)]
+    starts = np.arange(0, n_shots, batch_size)
+    below = np.zeros((len(limits), len(starts)), dtype=np.int64)
+    words = np.random.Philox(key=seed)
+    for start in range(0, n_shots, chunk_size):
+        stop = min(start + chunk_size, n_shots)
+        raw = words.random_raw(stop - start)
+        raw >>= np.uint64(11)
+        first, last = start // batch_size, (stop - 1) // batch_size + 1
+        # the first batch may have begun in an earlier window
+        edges = np.maximum(starts[first:last] - start, 0)
+        for row, limit in zip(below, limits):
+            row[first:last] += np.add.reduceat(raw < limit, edges)
+    sizes = np.minimum(batch_size, n_shots - starts).tolist()
+    return [(start, ShotCounts(d1, d12 - d1, size - d12))
+            for start, d1, d12, size in zip(starts.tolist(), *below.tolist(), sizes)]
+
+
+def shot_batches(layout: Layout, n_shots: int, seed: int,
+                 batch_size: int) -> list[tuple[int, ShotCounts]]:
+    """Counts per batch of shots, as (start index, counts) rows.
+
+    Shot s reads word s of the 64-bit output stream of a Philox4x64-10
+    generator keyed by the seed, that is word s mod 4 of counter block
+    s // 4, so the outcome of every shot is fixed by (seed, s) alone. Its
+    top 53 bits k give u = k * 2**-53: the photon reaches D1 when
+    u < p_d1, D2 when p_d1 <= u < p_d1 + p_d2, and is absorbed otherwise.
+    The seed is the 64-bit Philox key itself and must lie in [0, 2**64).
+    Splitting the same run into different batch sizes permutes nothing:
+    concatenating rows reproduces `run_shots` exactly.
+    """
+    return _sample_batches(layout, n_shots, seed, batch_size, SHOT_CHUNK)
 
 
 def run_shots(layout: Layout, n_shots: int, seed: int,
-              chunk_size: int = 65536) -> ShotCounts:
+              chunk_size: int = SHOT_CHUNK) -> ShotCounts:
     """Monte Carlo detector tallies for repeated single-photon runs.
 
     Outcomes follow the exact probabilities of `propagate_analytic` via a
     counter-based generator; see `shot_batches` for the per-shot scheme
-    that makes the totals independent of chunking.
+    that makes the totals independent of chunk_size, which only bounds
+    the number of words held at once.
     """
-    totals = ShotCounts(0, 0, 0)
-    for _, counts in shot_batches(layout, n_shots, seed, chunk_size):
-        totals = ShotCounts(totals.d1 + counts.d1, totals.d2 + counts.d2,
-                            totals.absorbed + counts.absorbed)
-    return totals
+    return _sample_batches(layout, n_shots, seed, n_shots, chunk_size)[0][1]

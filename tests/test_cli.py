@@ -8,6 +8,7 @@ import sys
 import jsonschema
 import pytest
 
+from ifmsim import parse_layout, run_shots
 from ifmsim.cli import run_cli
 from ifmsim.data import read_text
 from ifmsim.softphotons import E_SQUARED_HEAVISIDE_LORENTZ
@@ -154,6 +155,19 @@ def test_shots_batch_csv_merges_to_totals(tmp_path, capsys):
     assert sum(row[2] for row in body) == payload["counts"]["d1"]
     assert sum(row[3] for row in body) == payload["counts"]["d2"]
     assert sum(row[4] for row in body) == payload["counts"]["absorbed"]
+
+
+def test_shots_batch_csv_prints_the_run_shots_payload(tmp_path, capsys):
+    # with --batch-csv the totals are summed from the batches, not sampled again
+    argv = ("shots", "mzi_bomb.ifm", "--n", "10000", "--seed", "3")
+    code, plain, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, with_csv, _ = invoke(capsys, *argv, "--batch-size", "1024",
+                               "--batch-csv", str(tmp_path / "batches.csv"))
+    assert code == 0 and with_csv == plain
+    counts = run_shots(parse_layout(read_text("mzi_bomb.ifm")).layout, 10000, 3)
+    assert json.loads(plain)["counts"] == {"d1": counts.d1, "d2": counts.d2,
+                                           "absorbed": counts.absorbed}
 
 
 def test_shots_validation_errors(capsys):

@@ -201,3 +201,43 @@ def test_v_unitary_matches_high_precision_exponential(pair):
         ref = mp.expm(mp.matrix((alpha * gen).real.tolist()))
         ref = np.array(ref.tolist(), dtype=float)
     assert np.max(np.abs(v_unitary(space, pair, alpha) - ref)) < 1e-13
+
+
+def _wigner_small_d(n_out, n_in, beta):
+    """d^j_{m'm}(beta) = <j m'| exp(-i beta J_y) |j m> by Wigner's sum, at 30 digits.
+
+    Each state is given as (j + m, j - m); the phase convention is
+    Sakurai's, in which d^{1/2}(beta) = [[cos b/2, -sin b/2], [sin b/2, cos b/2]]
+    with rows and columns ordered m = +1/2, -1/2.
+    """
+    (c, d), (a, b) = n_out, n_in
+    f = math.factorial
+    with mp.workdps(30):
+        half = mp.mpf(beta) / 2
+        total = mp.mpf(0)
+        for k in range(max(0, a - c), min(a, d) + 1):
+            total += ((-1) ** (k - a + c) * mp.sqrt(f(a) * f(b) * f(c) * f(d))
+                      / (f(a - k) * f(k) * f(d - k) * f(k - a + c))
+                      * mp.cos(half) ** (2 * a + b - c - 2 * k)
+                      * mp.sin(half) ** (2 * k - a + c))
+        return float(total)
+
+
+@pytest.mark.parametrize("alpha", [0.3, math.pi / 4, 2.0, -1.1])
+def test_sectors_match_wigner_small_d(alpha):
+    # Schwinger bosons (Yurke, McCall & Klauder, PRA 33, 4033 (1986)):
+    # J_z = (n_p - n_q)/2 and J_y = (a+_p a_q - a+_q a_p)/(2i), so the sector
+    # n_p + n_q = N is spin j = N/2 with m = (n_p - n_q)/2, and
+    # V = exp(2i alpha J_y) = exp(-i beta J_y) at beta = -2 alpha. Hence
+    # <n'_p, n'_q| V |n_p, n_q> = d^j_{m'm}(-2 alpha) = d^j_{mm'}(2 alpha): the
+    # block is d^{N/2}(2 alpha) transposed. For N = 1, over (|1,0>, |0,1>), that
+    # is [[c, s], [-s, c]], the engine's two-port rotation.
+    space = build_space(PAIR, 12)
+    v = v_unitary(space, PAIR, alpha)
+    for total in range(space.n_max + 1):
+        states = [(n_p, total - n_p) for n_p in range(total + 1)]
+        index = [space.index_of(state) for state in states]
+        block = v[np.ix_(index, index)]
+        expected = [[_wigner_small_d(n_in, n_out, 2 * alpha) for n_in in states]
+                    for n_out in states]
+        assert np.max(np.abs(block - np.array(expected))) < 1e-12

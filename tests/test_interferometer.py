@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -318,3 +319,45 @@ def test_shots_refuse_seed_outside_64_bits(square, seed):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_shots_accept_seed_range_ends(bomb_layout, seed):
     assert run_shots(bomb_layout, 1000, seed).total == 1000
+
+
+@pytest.mark.parametrize("efficiency", [0.6, None])
+def test_shot_stream_contract_from_first_principles(square, efficiency):
+    # shot s reads word s of the plain Philox random_raw stream keyed by the
+    # seed, and lands in D1, D2 or the absorber by u = (w >> 11) 2**-53
+    layout = square if efficiency is None else with_obstruction(square, "lower", efficiency)
+    n, seed = 2 * 65536 + 5, 2024
+    report = propagate_analytic(layout)
+    t1, t2 = report.p_d1, report.p_d1 + report.p_d2
+    u = (np.random.Philox(key=seed).random_raw(n) >> np.uint64(11)) * 2.0**-53
+    outcome = (u >= t1).astype(np.int64) + (u >= t2)
+    # running (d1, d2, absorbed) tallies over shots 0..s-1, for s = 0..n
+    upto = np.vstack(([0, 0, 0], np.cumsum(np.eye(3, dtype=np.int64)[outcome], axis=0)))
+    whole = tuple(upto[n].tolist())
+    if efficiency is None:
+        assert t2 == 1.0 and whole == (n, 0, 0)
+    # windows of 999 and 4097 shots start off multiples of 4
+    for chunk in (999, 4097, n):
+        counts = run_shots(layout, n, seed, chunk_size=chunk)
+        assert (counts.d1, counts.d2, counts.absorbed) == whole
+    # batches of 3 and 5 start off multiples of 4, and 100 000 spans two windows
+    for batch_size in (1, 3, 5, 4096, 100_000):
+        rows = shot_batches(layout, n, seed, batch_size)
+        starts = np.arange(0, n, batch_size)
+        assert [start for start, _ in rows] == starts.tolist()
+        got = [(c.d1, c.d2, c.absorbed) for _, c in rows]
+        expected = upto[np.minimum(starts + batch_size, n)] - upto[starts]
+        assert got == [tuple(row) for row in expected.tolist()]
+
+
+def test_shot_batches_memory_is_bounded_whatever_the_batch_size(bomb_layout):
+    # one small call first, so one-time set-up stays outside the trace
+    shot_batches(bomb_layout, 16, 5, 16)
+    tracemalloc.start()
+    try:
+        rows = shot_batches(bomb_layout, 2**21, 5, 2**21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0][1].total == 2**21
+    assert peak < 16 * 2**20
