@@ -16,7 +16,6 @@ from .fock import (
     number_operator,
     rotation_check,
     v_unitary,
-    vacuum_state,
 )
 from .optics import (
     ElementKind,
@@ -40,7 +39,6 @@ from .interferometer import (
     ShotCounts,
     fringe_scan,
     propagate_analytic,
-    propagation_phase,
     run_shots,
     shot_batches,
     square_layout,
@@ -49,13 +47,11 @@ from .interferometer import (
 from .softphotons import (
     CorrectedReport,
     E_SQUARED_HEAVISIDE_LORENTZ,
-    EmissionModel,
     PollutionConfig,
     ProcessLeg,
     SoftWindow,
     corrected_probabilities,
     mean_photons,
-    poisson_pmf,
     pollution_probability,
     weinberg_factor_fermion,
     weinberg_factor_general,
@@ -75,7 +71,6 @@ __all__ = [
     "number_operator",
     "rotation_check",
     "v_unitary",
-    "vacuum_state",
     "ElementKind",
     "GaussianPacket",
     "HouseholderReflection",
@@ -95,20 +90,17 @@ __all__ = [
     "ShotCounts",
     "fringe_scan",
     "propagate_analytic",
-    "propagation_phase",
     "run_shots",
     "shot_batches",
     "square_layout",
     "with_obstruction",
     "CorrectedReport",
     "E_SQUARED_HEAVISIDE_LORENTZ",
-    "EmissionModel",
     "PollutionConfig",
     "ProcessLeg",
     "SoftWindow",
     "corrected_probabilities",
     "mean_photons",
-    "poisson_pmf",
     "pollution_probability",
     "weinberg_factor_fermion",
     "weinberg_factor_general",

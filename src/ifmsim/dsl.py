@@ -154,7 +154,7 @@ def _parse_element(state: _ParseState, toks: list[_Token]):
     normal = state.vector(toks[3:6], "normal")
     if normal is None:
         return
-    length = float(np.linalg.norm(normal))
+    length = math.sqrt(normal.dot(normal))  # np.linalg.norm, without its overhead
     if length == 0.0:
         state.error(toks[3], "degenerate normal: zero vector defines no reflection plane")
         return
@@ -165,7 +165,8 @@ def _parse_element(state: _ParseState, toks: list[_Token]):
         first = state.elements[vertex.text]["token"].line
         state.error(vertex, f"element at vertex {vertex.text!r} already defined on line {first}")
         return
-    state.elements[vertex.text] = {"token": vertex, "kind": kind, "normal": normal}
+    state.elements[vertex.text] = {"token": vertex, "kind": kind, "normal": normal,
+                                   "normal_token": toks[3]}
 
 
 def _parse_arm(state: _ParseState, toks: list[_Token]):
@@ -215,11 +216,11 @@ def _parse_source(state: _ParseState, toks: list[_Token]):
     width = state.number(toks[10], "packet width")
     if momentum is None or polarization is None or width is None:
         return
-    p_mag = float(np.linalg.norm(momentum))
+    p_mag = math.sqrt(momentum.dot(momentum))
     if p_mag == 0.0:
         state.error(toks[2], "source momentum must be nonzero")
         return
-    pol_len = float(np.linalg.norm(polarization))
+    pol_len = math.sqrt(polarization.dot(polarization))
     if pol_len == 0.0:
         state.error(toks[6], "polarization must be a nonzero vector")
         return
@@ -232,7 +233,7 @@ def _parse_source(state: _ParseState, toks: list[_Token]):
     if not width > 0.0:
         state.error(toks[10], f"packet width must be positive, got {toks[10].text}")
         return
-    state.source = {"token": toks[0], "momentum": momentum,
+    state.source = {"token": toks[0], "momentum": momentum, "momentum_token": toks[2],
                     "polarization": polarization, "width": width}
 
 
@@ -352,6 +353,18 @@ def _resolve(state: _ParseState, end_tok: _Token):
     return ports
 
 
+def _fault_token(state: _ParseState, at, default: _Token) -> _Token:
+    """Token of the directive a layout's geometry error names, else default."""
+    if at is None:
+        return default
+    kind, vid = at
+    if kind == "vertex":
+        return state.vertices[vid][0]
+    if kind == "element":
+        return state.elements[vid]["normal_token"]
+    return state.source["momentum_token"]
+
+
 def parse_layout(text: str) -> LayoutDocument:
     """Parse layout text into a LayoutDocument; never raises on bad input."""
     state = _ParseState()
@@ -398,7 +411,7 @@ def parse_layout(text: str) -> LayoutDocument:
                             source=src, source_width=state.source["width"],
                             obstruction=obstruction, detectors=ports)
         except (ConfigurationError, ValueError) as exc:
-            state.error(end_tok, str(exc))
+            state.error(_fault_token(state, getattr(exc, "at", None), end_tok), str(exc))
     return LayoutDocument(source=text, layout=layout, diagnostics=state.diagnostics)
 
 

@@ -2,7 +2,16 @@
 
 
 class ConfigurationError(ValueError):
-    """Raised when a layout or run configuration cannot be simulated as given."""
+    """Raised when a layout or run configuration cannot be simulated as given.
+
+    When a layout's geometry is at fault, `at` names the directive:
+    ("element", vertex id), ("vertex", vertex id) or ("source", None).
+    Otherwise it is None.
+    """
+
+    def __init__(self, *args, at=None):
+        super().__init__(*args)
+        self.at = at
 
 
 class DivergenceError(ValueError):

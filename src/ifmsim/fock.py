@@ -147,12 +147,6 @@ def _lower(space: FockSpace, mode: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def vacuum_state(space: FockSpace) -> np.ndarray:
-    state = np.zeros(space.dim, dtype=np.complex128)
-    state[0] = 1.0
-    return state
-
-
 def number_operator(space: FockSpace, mode: str | None = None) -> np.ndarray:
     """Diagonal photon-number operator; totals over all modes when mode is None."""
     if mode is None:

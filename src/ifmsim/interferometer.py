@@ -13,11 +13,11 @@ g_k = sqrt(1 - e_k) exp(i |p| (L_k - L_min)) holds the efficiency e_k of
 an absorber on its input-side arm and its total path length L_k. Both
 mirrors are the same matrix, each acting on the one branch it carries.
 
-Before the product is taken, each call runs one geometry pass: the
-source and every reflection must steer momenta along the arms, the two
-branch packets must be disjoint, and the L22 splitter must be able to
-merge the arriving momenta. The pass also yields the detector momenta.
-A fringe scan evaluates the same product for a whole array of extra
+A layout checks its geometry once, when it is built: the source and
+every reflection must steer momenta along the arms, and the L22 splitter
+must be able to merge the arriving momenta. A call then only certifies
+that the two branch packets are disjoint, forms the path phases and
+takes the product; a fringe scan does so for a whole array of extra
 lengths at once.
 
 Conventions used throughout:
@@ -40,9 +40,11 @@ e |M_bs1[k, 0]|^2 is booked against the absorber.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,7 +78,7 @@ _DIR_TOL = 1e-9
 SHOT_CHUNK = 65536
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arm:
     """Directed arm of the square, with its physical length and a label."""
 
@@ -86,14 +88,14 @@ class Arm:
     label: str
 
     def __post_init__(self):
-        self.length = float(self.length)
+        object.__setattr__(self, "length", float(self.length))
         if not self.length > 0.0:
             raise ConfigurationError(
                 f"arm {self.start}->{self.end} must have positive length, got {self.length}"
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Obstruction:
     """Absorbing object on one arm; efficiency 1 removes the branch entirely."""
 
@@ -101,7 +103,7 @@ class Obstruction:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        self.efficiency = float(self.efficiency)
+        object.__setattr__(self, "efficiency", float(self.efficiency))
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(
                 f"obstruction efficiency must lie in [0, 1], got {self.efficiency}"
@@ -130,25 +132,38 @@ class DetectionReport:
     event: InteractionEvent | None = None
 
 
-@dataclass(eq=False)
+# what a layout's geometry fixes: the t and r vertices, their branch packets,
+# the port matrices (merge rows and exit momenta in detector order) and |p|
+_Geometry = namedtuple("_Geometry", "routing packets split mirror merge momenta p_mag")
+
+
+@dataclass(frozen=True, eq=False)
 class Layout:
     """Complete description of one interferometer configuration.
 
     vertices maps the four ids to positions; elements maps each vertex to
     its optical element; arms is keyed by (start, end); detectors maps
-    D1/D2 to output ports a/b. Validation happens on construction.
+    D1/D2 to output ports a/b. Construction validates the structure and
+    checks the geometry once. A layout is immutable (read-only mappings
+    and vertex copies), so `dataclasses.replace` builds a changed one.
     """
 
-    vertices: dict[str, np.ndarray]
-    elements: dict[str, OpticalElement]
-    arms: dict[tuple[str, str], Arm]
+    vertices: Mapping[str, np.ndarray]
+    elements: Mapping[str, OpticalElement]
+    arms: Mapping[tuple[str, str], Arm]
     source: PhotonMode
     source_width: float
     obstruction: Obstruction | None = None
-    detectors: dict[str, str] = field(default_factory=lambda: {"D1": "a", "D2": "b"})
+    detectors: Mapping[str, str] = field(default_factory=lambda: {"D1": "a", "D2": "b"})
+    _geometry: _Geometry = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.vertices = {k: np.asarray(v, dtype=float) for k, v in self.vertices.items()}
+        vertices = {k: np.array(v, dtype=float) for k, v in self.vertices.items()}
+        for position in vertices.values():
+            position.setflags(write=False)
+        for name, value in (("vertices", vertices), ("elements", self.elements),
+                            ("arms", self.arms), ("detectors", self.detectors)):
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
         for vid in VERTEX_IDS:
             if vid not in self.vertices:
                 raise ConfigurationError(f"layout is missing vertex {vid}")
@@ -172,7 +187,7 @@ class Layout:
         labels = [arm.label for arm in self.arms.values()]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"arm labels must be unique, got {sorted(labels)}")
-        self.source_width = float(self.source_width)
+        object.__setattr__(self, "source_width", float(self.source_width))
         if not self.source_width > 0.0:
             raise ConfigurationError(
                 f"source packet width must be positive, got {self.source_width}"
@@ -193,15 +208,10 @@ class Layout:
             raise ConfigurationError(
                 f"detectors must cover ports a and b once each, got {ports}"
             )
+        object.__setattr__(self, "_geometry", _resolve_geometry(self))
 
     def input_arm_labels(self) -> tuple[str, ...]:
         return tuple(self.arms[pair].label for pair in INPUT_ARM_PAIRS if pair in self.arms)
-
-    def arm_by_label(self, label: str) -> Arm:
-        for arm in self.arms.values():
-            if arm.label == label:
-                return arm
-        raise KeyError(f"no arm labeled {label!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Layout):
@@ -245,12 +255,8 @@ def square_layout(arm_length: float = 1.0, momentum_magnitude: float = 1.0,
     p = float(momentum_magnitude)
     if not p > 0.0:
         raise ValueError(f"momentum magnitude must be positive, got {p}")
-    vertices = {
-        "L11": np.array([0.0, 0.0, 0.0]),
-        "L12": np.array([a, 0.0, 0.0]),
-        "L21": np.array([0.0, a, 0.0]),
-        "L22": np.array([a, a, 0.0]),
-    }
+    vertices = {"L11": (0.0, 0.0, 0.0), "L12": (a, 0.0, 0.0),
+                "L21": (0.0, a, 0.0), "L22": (a, a, 0.0)}
     elements = {
         vid: OpticalElement(_EXPECTED_KINDS[vid], householder((1.0, -1.0, 0.0)), vid)
         for vid in VERTEX_IDS
@@ -276,30 +282,17 @@ def with_obstruction(layout: Layout, arm: str, efficiency: float = 1.0) -> Layou
     return replace(layout, obstruction=Obstruction(arm=arm, efficiency=efficiency))
 
 
-def propagation_phase(length: float, momentum_magnitude: float) -> complex:
-    """Free-flight phase exp(i |p| L) for a nonnegative path length."""
-    length = float(length)
-    momentum_magnitude = float(momentum_magnitude)
-    if length < 0.0:
-        raise ValueError(f"propagation length must be nonnegative, got {length}")
-    if not momentum_magnitude > 0.0:
-        raise ValueError(
-            f"momentum magnitude must be positive, got {momentum_magnitude}"
-        )
-    return cmath.exp(1j * momentum_magnitude * length)
-
-
 def _unit_direction(layout: Layout, start: str, end: str) -> np.ndarray:
     d = layout.vertices[end] - layout.vertices[start]
-    n = float(np.linalg.norm(d))
+    n = math.sqrt(d.dot(d))  # np.linalg.norm, without its overhead
     if n == 0.0:
-        raise ConfigurationError(f"vertices {start} and {end} coincide")
+        raise ConfigurationError(f"vertices {start} and {end} coincide", at=("vertex", end))
     return d / n
 
 
 def _aligned(a: np.ndarray, b: np.ndarray) -> bool:
     # same test as np.allclose(a, b, rtol=0, atol=_DIR_TOL) at a fraction of its cost
-    return bool((np.abs(a - b) <= _DIR_TOL).all())
+    return all(abs(x) <= _DIR_TOL for x in (a - b).tolist())
 
 
 def _apply(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -308,13 +301,8 @@ def _apply(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return matrix[:, :1] * columns[0] + matrix[:, 1:] * columns[1]
 
 
-def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float):
-    """Check the geometry once, then evaluate the port amplitudes.
-
-    extra_lower holds extra lengths added to the L11->L12 arm. Returns the
-    (2, n) amplitudes at D1 and D2, one column per extra length, the
-    momenta arriving at D1 and D2, and the absorber event, if any.
-    """
+def _resolve_geometry(layout: Layout) -> _Geometry:
+    """Check that the layout steers both branches through the square, once."""
     source = layout.source
     p_mag = source.energy
     bs1 = layout.elements["L11"]
@@ -325,26 +313,55 @@ def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float
     matches = [v for v, d in directions.items() if _aligned(d, p_hat)]
     if len(matches) != 1:
         raise ConfigurationError(
-            "source momentum must point along exactly one arm leaving L11; "
-            f"arm directions are {directions['L12']} and {directions['L21']}"
-        )
+            "source momentum must point along exactly one arm leaving L11; arm "
+            f"directions are {directions['L12']} and {directions['L21']}", at=("source", None))
     t_vertex = matches[0]
     r_vertex = "L21" if t_vertex == "L12" else "L12"
 
     reflected_mode = reflect_mode(bs1.reflection, source)
     if not _aligned(reflected_mode.momentum / p_mag, directions[r_vertex]):
         raise ConfigurationError(
-            f"beamsplitter normal at L11 does not steer the reflected branch "
-            f"along the arm toward {r_vertex}"
-        )
+            "beamsplitter normal at L11 does not steer the reflected branch "
+            f"along the arm toward {r_vertex}", at=("element", "L11"))
     routing = ((t_vertex, source), (r_vertex, reflected_mode))
 
     # branch envelopes sit at the midpoints of the two input-side arms
-    first, second = (
-        GaussianPacket(center=0.5 * (layout.vertices["L11"] + layout.vertices[vertex]),
-                       width=layout.source_width, carrier=mode)
-        for vertex, mode in routing
-    )
+    packets = tuple(GaussianPacket(0.5 * (layout.vertices["L11"] + layout.vertices[vertex]),
+                                   layout.source_width, mode) for vertex, mode in routing)
+
+    exit_momenta = []
+    for vertex, mode in routing:
+        k = layout.elements[vertex].reflection.matrix @ mode.momentum
+        if not _aligned(k / p_mag, _unit_direction(layout, vertex, "L22")):
+            raise ConfigurationError(f"mirror at {vertex} does not steer its branch "
+                                     "along the arm toward L22", at=("element", vertex))
+        exit_momenta.append(k)
+    # the mirrors swap ports, so r reaches L22 on u and t on v
+    k_v, k_u = exit_momenta
+    miss = layout.elements["L22"].reflection.matrix @ k_v - k_u
+    if math.sqrt(miss.dot(miss)) > _DIR_TOL * p_mag:
+        raise ConfigurationError(
+            "branches reach L22 with momenta the beamsplitter cannot merge "
+            "into shared output ports", at=("element", "L22"))
+
+    order = ["ab".index(layout.detectors[d]) for d in ("D1", "D2")]
+    # both mirrors have the same angle, so one port matrix acts on (t, r)
+    arrays = (port_matrix(bs1), port_matrix(layout.elements[t_vertex]),
+              port_matrix(layout.elements["L22"])[order], np.array([k_u, k_v])[order])
+    for array in arrays:
+        array.setflags(write=False)
+    return _Geometry((t_vertex, r_vertex), packets, *arrays, p_mag)
+
+
+def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float):
+    """Evaluate the port amplitudes of a built layout.
+
+    extra_lower holds extra lengths added to the L11->L12 arm. Returns the
+    (2, n) amplitudes at D1 and D2, one column per extra length, the
+    momenta arriving at D1 and D2, and the absorber event, if any.
+    """
+    geometry = layout._geometry
+    first, second = geometry.packets
     if not locality_check(first, second, locality_tolerance):
         raise ConfigurationError(
             f"branch packets overlap {packet_overlap(first, second):.3e} at width "
@@ -352,55 +369,31 @@ def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float
             "localized needs arm separations well beyond the packet width"
         )
 
-    exit_momenta = []
-    for vertex, mode in routing:
-        k = layout.elements[vertex].reflection.matrix @ mode.momentum
-        if not _aligned(k / p_mag, _unit_direction(layout, vertex, "L22")):
-            raise ConfigurationError(
-                f"mirror at {vertex} does not steer its branch along "
-                f"the arm toward L22"
-            )
-        exit_momenta.append(k)
-    # the mirrors swap ports, so r reaches L22 on u and t on v
-    k_v, k_u = exit_momenta
-    if np.linalg.norm(layout.elements["L22"].reflection.matrix @ k_v - k_u) > _DIR_TOL * p_mag:
-        raise ConfigurationError(
-            "branches reach L22 with momenta the beamsplitter cannot merge "
-            "into shared output ports"
-        )
-
-    m1 = port_matrix(bs1)
     lengths = [layout.arms[("L11", vertex)].length + (extra_lower if vertex == "L12" else 0.0)
-               + layout.arms[(vertex, "L22")].length for vertex, _ in routing]
+               + layout.arms[(vertex, "L22")].length for vertex in geometry.routing]
     l_min = np.minimum(*lengths)
     columns = []
     event = None
-    for k, (vertex, _) in enumerate(routing):
-        amplitude = m1[k, 0]
-        arm = layout.arms[("L11", vertex)]
-        obstruction = layout.obstruction
-        if obstruction is not None and obstruction.arm == arm.label:
-            event = InteractionEvent(
-                arm=arm.label,
-                position=0.5 * (layout.vertices["L11"] + layout.vertices[vertex]),
-                absorbed_weight=float(obstruction.efficiency * abs(amplitude) ** 2),
-            )
+    obstruction = layout.obstruction
+    for vertex, packet, amplitude, length in zip(geometry.routing, geometry.packets,
+                                                 geometry.split[:, 0], lengths):
+        label = layout.arms[("L11", vertex)].label
+        if obstruction is not None and obstruction.arm == label:
+            event = InteractionEvent(label, packet.center.copy(),
+                                     float(obstruction.efficiency * abs(amplitude) ** 2))
             amplitude *= math.sqrt(1.0 - obstruction.efficiency)
         # quote amplitudes relative to free flight over the shortest path
-        columns.append(amplitude * np.exp(1j * p_mag * (lengths[k] - l_min)))
-    # both mirrors have the same angle, so one port matrix acts on (t, r)
-    out = _apply(port_matrix(layout.elements["L22"]),
-                 _apply(port_matrix(layout.elements[t_vertex]), np.array(columns)))
-    order = ["ab".index(layout.detectors[d]) for d in ("D1", "D2")]
-    return out[order], np.array([k_u, k_v])[order], event
+        columns.append(amplitude * np.exp(1j * geometry.p_mag * (length - l_min)))
+    out = _apply(geometry.merge, _apply(geometry.mirror, np.array(columns)))
+    return out, geometry.momenta.copy(), event
 
 
 def propagate_analytic(layout: Layout, locality_tolerance: float = 1e-6) -> DetectionReport:
     """Exact single-photon propagation of a layout.
 
-    Certifies branch locality first, validates that reflections steer
-    momenta along the arms, and returns probabilities that sum to one
-    with the absorbed weight.
+    Certifies branch locality at the given tolerance (the layout checked
+    its steering when it was built), and returns probabilities that sum
+    to one with the absorbed weight.
     """
     amplitudes, momenta, event = _transfer(layout, np.zeros(1), locality_tolerance)
     p_d1, p_d2 = np.abs(amplitudes[:, 0]) ** 2

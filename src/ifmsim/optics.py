@@ -18,13 +18,14 @@ import numpy as np
 from .errors import ConfigurationError
 
 _UNIT_TOL = 1e-9
+_EYE3 = np.eye(3)
 
 
 def _as_vec3(value, what: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{what} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{what} must be finite")
     return arr
 
@@ -45,7 +46,7 @@ class PhotonMode:
         self.polarization = _as_vec3(self.polarization, "polarization")
         if self.energy == 0.0:
             raise ValueError("momentum must be nonzero")
-        if abs(np.linalg.norm(self.polarization) - 1.0) > _UNIT_TOL:
+        if abs(math.sqrt(self.polarization.dot(self.polarization)) - 1.0) > _UNIT_TOL:
             raise ValueError("polarization must be a unit vector")
         if abs(float(self.polarization @ self.momentum)) > _UNIT_TOL * self.energy:
             raise ValueError("polarization must be transverse to the momentum")
@@ -53,7 +54,9 @@ class PhotonMode:
     @property
     def energy(self) -> float:
         """Photon energy |p| (units with c = hbar = 1)."""
-        return float(np.linalg.norm(self.momentum))
+        # np.linalg.norm of a real vector is exactly sqrt(v.dot(v)), at
+        # several times the cost on three components
+        return math.sqrt(self.momentum.dot(self.momentum))
 
     def __eq__(self, other):
         if not isinstance(other, PhotonMode):
@@ -70,13 +73,6 @@ class HouseholderReflection:
     normal: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def spacetime(self) -> np.ndarray:
-        """4x4 block form acting on (t, x, y, z): time untouched."""
-        out = np.eye(4)
-        out[1:, 1:] = self.matrix
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, HouseholderReflection):
             return NotImplemented
@@ -90,14 +86,14 @@ def householder(normal) -> HouseholderReflection:
     reflection plane and is rejected.
     """
     n = _as_vec3(normal, "normal")
-    length = float(np.linalg.norm(n))
+    length = math.sqrt(n.dot(n))
     if length == 0.0:
         raise ConfigurationError("degenerate normal: zero vector defines no plane")
     # skip the division when already unit to rounding: renormalizing would
     # only churn last bits and make normalization non-idempotent
     if abs(length - 1.0) > 4.0 * np.finfo(float).eps:
         n = n / length
-    return HouseholderReflection(normal=n, matrix=np.eye(3) - 2.0 * np.outer(n, n))
+    return HouseholderReflection(normal=n, matrix=_EYE3 - 2.0 * (n[:, None] * n))
 
 
 def reflect_mode(reflection: HouseholderReflection, mode: PhotonMode) -> PhotonMode:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import DivergenceError
 from .interferometer import DetectionReport
 
 # e^2 = 4 pi alpha in Heaviside-Lorentz units, alpha = 1/137.035999
@@ -211,60 +211,20 @@ def mean_photons(factor: float, window: SoftWindow) -> float:
 
 
 @dataclass
-class EmissionModel:
-    """Pinned pair (A, mu) for one scattering process and window."""
-
-    factor: float
-    mean: float
-
-    def __post_init__(self):
-        if self.factor < 0.0 or self.mean < 0.0:
-            raise ValueError("emission factor and mean must be nonnegative")
-
-    @classmethod
-    def from_window(cls, factor: float, window: SoftWindow) -> "EmissionModel":
-        return cls(factor=float(factor), mean=mean_photons(factor, window))
-
-
-def poisson_pmf(n: int, mu: float) -> float:
-    """P(N = n) for a Poisson law of mean mu, stable for large n and mu.
-
-    Evaluated as exp(n ln mu - mu - ln n!) so extreme parameters
-    underflow gracefully instead of overflowing intermediate factorials.
-    """
-    if not float(n).is_integer() or n < 0:
-        raise ValueError(f"photon count must be a nonnegative integer, got {n}")
-    n = int(n)
-    mu = float(mu)
-    if mu < 0.0:
-        raise ValueError(f"Poisson mean must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
-@dataclass
 class PollutionConfig:
     """Angular acceptance of a detector for stray soft photons.
 
     solid_angle_fraction is the fraction of the emission sphere the
-    detector subtends, under an isotropic angular model (the only one
-    implemented).
+    detector subtends, with soft photons emitted isotropically.
     """
 
     solid_angle_fraction: float
-    angular_model: str = "isotropic"
 
     def __post_init__(self):
         self.solid_angle_fraction = float(self.solid_angle_fraction)
         if not 0.0 < self.solid_angle_fraction <= 1.0:
             raise ValueError(
                 f"solid angle fraction must lie in (0, 1], got {self.solid_angle_fraction}"
-            )
-        if self.angular_model != "isotropic":
-            raise ConfigurationError(
-                f"unsupported angular model {self.angular_model!r}; only "
-                "'isotropic' is implemented"
             )
 
 

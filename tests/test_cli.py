@@ -81,6 +81,17 @@ def test_simulate_parse_failure_has_positioned_diagnostic(tmp_path, capsys):
     assert f"{target}:6:19: error: degenerate normal" in err
 
 
+def test_simulate_mis_steering_has_positioned_diagnostic(tmp_path, capsys):
+    bad = read_text("mzi.ifm").replace(
+        "mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
+        "mirror L12 normal 1 0 0")
+    target = tmp_path / "bad.ifm"
+    target.write_text(bad, encoding="utf-8")
+    code, out, err = invoke(capsys, "simulate", str(target))
+    assert code == 1 and out == ""
+    assert f"{target}:6:19: error: mirror at L12 does not steer its branch" in err
+
+
 def test_simulate_stdout_byte_stable(capsys):
     _, first, _ = invoke(capsys, "simulate", "mzi_bomb.ifm")
     _, second, _ = invoke(capsys, "simulate", "mzi_bomb.ifm")

@@ -96,6 +96,28 @@ def test_degenerate_normal_positioned():
     assert hits[0].column == 19  # first normal component token
 
 
+MIS_STEERING = [
+    ("mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
+     "mirror L12 normal 1 0 0", 6, 19, "mirror at L12 does not steer its branch"),
+    ("beamsplitter L11 normal 0.70710678118654746 -0.70710678118654746 0",
+     "beamsplitter L11 normal 1 0 0", 5, 25,
+     "beamsplitter normal at L11 does not steer the reflected branch"),
+    ("beamsplitter L22 normal 0.70710678118654746 -0.70710678118654746 0",
+     "beamsplitter L22 normal 1 0 0", 8, 25, "the beamsplitter cannot merge"),
+    ("source momentum 1 0 0", "source momentum 1 1 0", 13, 17,
+     "source momentum must point along exactly one arm"),
+    ("vertex L22 1 1 0", "vertex L22 1 0 0", 4, 8, "vertices L12 and L22 coincide"),
+]
+
+
+@pytest.mark.parametrize("old, new, line, column, message", MIS_STEERING)
+def test_mis_steering_positioned_at_its_directive(old, new, line, column, message):
+    doc = parse_layout(read_text("mzi.ifm").replace(old, new))
+    assert doc.layout is None
+    assert [(d.line, d.column) for d in doc.errors] == [(line, column)]
+    assert message in doc.errors[0].message
+
+
 def test_malformed_number_positioned():
     doc = parse_layout("vertex L11 0 zero 0\n")
     hits = [d for d in doc.errors if "not a number" in d.message]

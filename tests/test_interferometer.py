@@ -1,7 +1,6 @@
-import cmath
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,13 +8,15 @@ import pytest
 from ifmsim import (
     Arm,
     ConfigurationError,
+    ElementKind,
     Layout,
     Obstruction,
+    OpticalElement,
     PhotonMode,
     build_space,
     fringe_scan,
+    householder,
     propagate_analytic,
-    propagation_phase,
     run_shots,
     shot_batches,
     square_layout,
@@ -170,26 +171,17 @@ def test_fock_chain_with_path_mismatch_matches_kernel(two_mode_space):
 
         layout = square_layout(momentum_magnitude=p_mag)
         lower = layout.arms[("L11", "L12")]
-        layout.arms[("L11", "L12")] = replace(lower, length=lower.length + delta_l)
+        lengthened = replace(lower, length=lower.length + delta_l)
+        layout = replace(layout, arms={**layout.arms, ("L11", "L12"): lengthened})
         assert abs(propagate_analytic(layout).amplitude_d1 - out[i_p]) < 1e-12
-
-
-def test_propagation_phase_values():
-    assert propagation_phase(0.0, 2.5) == 1.0
-    z = propagation_phase(1.25, 2.0)
-    assert abs(z - cmath.exp(2.5j)) < 1e-15
-    assert abs(abs(z) - 1.0) < 1e-15
-    with pytest.raises(ValueError, match="nonnegative"):
-        propagation_phase(-0.1, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        propagation_phase(1.0, 0.0)
 
 
 def test_unequal_exit_arm_acts_like_mismatch():
     # lengthening one exit arm by d shifts the relative phase by |p| d
     d = 0.37
     layout = square_layout()
-    layout.arms[("L12", "L22")] = replace(layout.arms[("L12", "L22")], length=1.0 + d)
+    lengthened = replace(layout.arms[("L12", "L22")], length=1.0 + d)
+    layout = replace(layout, arms={**layout.arms, ("L12", "L22"): lengthened})
     report = propagate_analytic(layout)
     assert abs(report.p_d1 - math.cos(d / 2.0) ** 2) < 1e-12
 
@@ -226,9 +218,8 @@ def test_locality_certification_gates_propagation():
 
 def test_misaligned_source_rejected(square):
     diag = 1.0 / math.sqrt(2.0)
-    bad = replace(square, source=PhotonMode((diag, diag, 0.0), (0.0, 0.0, 1.0)))
     with pytest.raises(ConfigurationError, match="exactly one arm"):
-        propagate_analytic(bad)
+        replace(square, source=PhotonMode((diag, diag, 0.0), (0.0, 0.0, 1.0)))
 
 
 def test_bad_splitter_normal_rejected(square):
@@ -237,9 +228,57 @@ def test_bad_splitter_normal_rejected(square):
     elements = dict(square.elements)
     # normal along x reflects the beam straight back instead of up
     elements["L11"] = OpticalElement(ElementKind.BEAMSPLITTER, householder((1.0, 0.0, 0.0)), "L11")
-    bad = replace(square, elements=elements)
     with pytest.raises(ConfigurationError, match="steer"):
-        propagate_analytic(bad)
+        replace(square, elements=elements)
+
+
+@pytest.mark.parametrize("change, at", [
+    ({"elements": {"L12": (ElementKind.MIRROR, (1.0, 0.0, 0.0))}}, ("element", "L12")),
+    ({"elements": {"L11": (ElementKind.BEAMSPLITTER, (1.0, 0.0, 0.0))}}, ("element", "L11")),
+    ({"elements": {"L22": (ElementKind.BEAMSPLITTER, (1.0, 0.0, 0.0))}}, ("element", "L22")),
+    ({"source": (1.0, 1.0, 0.0)}, ("source", None)),
+    ({"vertices": {"L22": (1.0, 0.0, 0.0)}}, ("vertex", "L22")),
+])
+def test_geometry_checked_once_on_construction(square, change, at):
+    # each mis-steering is refused when the layout is built, naming its directive
+    elements = dict(square.elements)
+    for vid, (kind, normal) in change.get("elements", {}).items():
+        elements[vid] = OpticalElement(kind, householder(normal), vid)
+    vertices = {**square.vertices, **change.get("vertices", {})}
+    source = PhotonMode(change.get("source", square.source.momentum), (0.0, 0.0, 1.0))
+    with pytest.raises(ConfigurationError) as caught:
+        Layout(vertices, elements, square.arms, source, 0.05)
+    assert caught.value.at == at
+
+
+def test_built_layout_is_immutable(square):
+    with pytest.raises(TypeError):
+        square.arms[("L11", "L12")] = Arm("L11", "L12", 2.0, "lower")
+    with pytest.raises(ValueError):
+        square.vertices["L12"][0] = 5.0
+    with pytest.raises(FrozenInstanceError):
+        square.source = PhotonMode((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    with pytest.raises(FrozenInstanceError):
+        square.arms[("L11", "L12")].length = 2.0
+    # the layout keeps a copy of each position it was given
+    position = np.array([1.0, 0.0, 0.0])
+    layout = replace(square, vertices={**square.vertices, "L12": position})
+    position[0] = 5.0
+    assert layout.vertices["L12"][0] == 1.0
+    assert propagate_analytic(layout).p_d1 == propagate_analytic(square).p_d1
+
+
+def test_report_does_not_alias_the_layout(bomb_layout):
+    first = propagate_analytic(bomb_layout)
+    momenta = first.momentum_d1.copy(), first.momentum_d2.copy()
+    position = first.event.position.copy()
+    first.momentum_d1[:] = 7.0
+    first.momentum_d2[:] = 7.0
+    first.event.position[:] = 7.0
+    again = propagate_analytic(bomb_layout)
+    np.testing.assert_array_equal(again.momentum_d1, momenta[0])
+    np.testing.assert_array_equal(again.momentum_d2, momenta[1])
+    np.testing.assert_array_equal(again.event.position, position)
 
 
 def test_layout_validation_errors(square):

@@ -46,15 +46,6 @@ def test_householder_idempotent_on_unit_normal():
     assert np.array_equal(first.normal, second.normal)
 
 
-def test_spacetime_block_leaves_time_alone():
-    refl = householder((1.0, 2.0, 3.0))
-    block = refl.spacetime
-    assert block.shape == (4, 4)
-    assert block[0, 0] == 1.0
-    assert np.all(block[0, 1:] == 0.0) and np.all(block[1:, 0] == 0.0)
-    np.testing.assert_array_equal(block[1:, 1:], refl.matrix)
-
-
 def test_diagonal_normal_swaps_x_and_y():
     refl = householder((1.0, -1.0, 0.0))
     np.testing.assert_allclose(refl.matrix @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-15)

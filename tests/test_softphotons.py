@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from ifmsim import (
-    ConfigurationError,
     CorrectedReport,
     DivergenceError,
     E_SQUARED_HEAVISIDE_LORENTZ,
-    EmissionModel,
     PollutionConfig,
     ProcessLeg,
     SoftWindow,
     corrected_probabilities,
     mean_photons,
-    poisson_pmf,
     pollution_probability,
     propagate_analytic,
     square_layout,
@@ -167,38 +164,6 @@ def test_mean_photons_doubles_with_log_ratio():
     assert mean_photons(a, SoftWindow(1.0, 4.0)) == 2.0 * mean_photons(a, SoftWindow(1.0, 2.0))
 
 
-def test_emission_model():
-    window = SoftWindow(1e-2, 1.0)
-    model = EmissionModel.from_window(0.005, window)
-    assert abs(model.mean - 0.005 * window.log_ratio) < 1e-18
-    with pytest.raises(ValueError):
-        EmissionModel(-1.0, 0.0)
-
-
-def test_poisson_pmf_values():
-    # high-precision reference: mu^n exp(-mu) / n!
-    for n, mu in ((0, 0.5), (2, 0.5), (5, 3.0), (400, 100.0)):
-        want = float(mp.mpf(mu) ** n * mp.exp(-mp.mpf(mu)) / mp.factorial(n))
-        got = poisson_pmf(n, mu)
-        assert got >= 0.0
-        assert abs(got - want) <= 1e-9 * max(want, 1e-300)
-    assert abs(poisson_pmf(2, 0.5) - 0.07581633246407918) < 1e-16
-
-
-def test_poisson_pmf_normalizes():
-    total = sum(poisson_pmf(n, 3.0) for n in range(80))
-    assert abs(total - 1.0) < 1e-12
-
-
-def test_poisson_pmf_degenerate_and_domain():
-    assert poisson_pmf(0, 0.0) == 1.0
-    assert poisson_pmf(3, 0.0) == 0.0
-    with pytest.raises(ValueError, match="integer"):
-        poisson_pmf(-1, 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        poisson_pmf(2, -1.0)
-
-
 def test_pollution_probability_precision():
     config = PollutionConfig(1e-3)
     rate = 1e-12 * 1e-3
@@ -217,8 +182,6 @@ def test_pollution_config_validation():
         PollutionConfig(0.0)
     with pytest.raises(ValueError, match="solid angle"):
         PollutionConfig(1.5)
-    with pytest.raises(ConfigurationError, match="isotropic"):
-        PollutionConfig(0.5, angular_model="beamed")
 
 
 def _bomb_report():
