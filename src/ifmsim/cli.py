@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .softphotons import (
     weinberg_factor_fermion,
     weinberg_factor_general,
 )
-from .verify import run_verification
+from .verify import run_checks, run_verification
 
 _FLOAT_FMT = ".17g"
 
@@ -243,7 +244,13 @@ def _cmd_fringe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    return 0 if run_verification(sys.stdout) else 2
+    if not args.json:
+        return 0 if run_verification(sys.stdout) else 2
+    results = run_checks()
+    for r in results:
+        row = {**asdict(r), "margin": r.tolerance - r.residual, "passed": r.passed}
+        print("{" + ", ".join(f"{json.dumps(k)}: {_json_dumps(v)}" for k, v in row.items()) + "}")
+    return 0 if all(r.passed for r in results) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -296,6 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fringe.set_defaults(handler=_cmd_fringe)
 
     verify = sub.add_parser("verify", help="run the operator-identity residual suite")
+    verify.add_argument("--json", action="store_true",
+                        help="one JSON object per check instead of the text report")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

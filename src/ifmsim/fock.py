@@ -20,19 +20,22 @@ the restriction explicitly rather than hiding the artifact.
 
 The two-mode rotation conserves the pair photon number n_p + n_q, so it
 is block-diagonal in sectors of fixed pair number and fixed occupations
-of every other mode. `v_unitary` exponentiates each sector's small
-tridiagonal generator by a Hermitian eigendecomposition instead of
-exponentiating the whole dense matrix; the truncation edge only narrows
-the sectors with n_p + n_q > n_max, so the result equals the exponential
-of the dense truncated generator.
+of every other mode. Each sector's small tridiagonal generator is
+exponentiated by a Hermitian eigendecomposition instead of exponentiating
+the whole dense matrix; the truncation edge only narrows the sectors with
+n_p + n_q > n_max, so the result equals the exponential of the dense
+truncated generator. `v_unitary` scatters the sector blocks into a dense
+matrix; `rotation_check` applies them sector by sector and forms no dense
+unitary or ladder.
 
-Every operator here is a dense dim x dim complex128 matrix, so
-`build_space` refuses any space whose single operator would exceed
+The operators that are returned are dense dim x dim complex128 matrices,
+so `build_space` refuses any space whose single operator would exceed
 OPERATOR_BYTES (128 MiB, dim <= 2896).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -130,23 +133,6 @@ def ladder(space: FockSpace, mode: str, kind: str) -> np.ndarray:
     return np.kron(np.kron(left, a), right)
 
 
-def _lower(space: FockSpace, mode: str, x: np.ndarray) -> np.ndarray:
-    """ladder(space, mode, "lowering") @ x as a row gather.
-
-    Row i of the lowering operator holds one nonzero, sqrt(n + 1) for n
-    quanta of the mode in state i, in the column of the state with one
-    quantum more (none when n = n_max), so the product needs no dense
-    matrix.
-    """
-    pos = space.mode_position(mode)
-    stride = (space.n_max + 1) ** (len(space.modes) - 1 - pos)
-    n = space.occupations[:, pos]
-    rows = np.flatnonzero(n < space.n_max)
-    out = np.zeros_like(x)
-    out[rows] = np.sqrt(n[rows] + 1.0)[:, None] * x[rows + stride]
-    return out
-
-
 def number_operator(space: FockSpace, mode: str | None = None) -> np.ndarray:
     """Diagonal photon-number operator; totals over all modes when mode is None."""
     if mode is None:
@@ -166,13 +152,47 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def _pair_positions(space: FockSpace, mode_pair) -> tuple[str, str]:
+def _pair_positions(space: FockSpace, mode_pair) -> tuple[int, int]:
     p, q = mode_pair
     if p == q:
         raise ValueError(f"mode pair must name two distinct modes, got {(p, q)!r}")
-    space.mode_position(p)
-    space.mode_position(q)
-    return p, q
+    return space.mode_position(p), space.mode_position(q)
+
+
+@functools.lru_cache(maxsize=4)
+def _sector_eigensystems(n_max: int) -> tuple:
+    """(total, n_p, lam, u) per pair number total = n_p + n_q = 0..2 n_max.
+
+    The rotation's generator restricted to one sector is tridiagonal and
+    depends on n_max and the sector only, not on the angle or the pair,
+    so its Hermitian eigendecomposition iG = U diag(lam) U+ is made once
+    per n_max and shared read-only.
+    """
+    sectors = []
+    for total in range(2 * n_max + 1):
+        n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
+        # are where the cap stops a+_p or a+_q, as in the dense matrix
+        hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
+        lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
+        for array in (n_p, lam, u):
+            array.setflags(write=False)
+        sectors.append((total, n_p, lam, u))
+    return tuple(sectors)
+
+
+def _sector_blocks(n_max: int, alpha: float):
+    """Iterator of (total, n_p, block), the rotation's real block per pair number.
+
+    Rows and columns of a block follow n_p ascending, with n_q = total - n_p.
+    """
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("rotation angle must be finite")
+    # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
+    # real, so the imaginary part is rounding and is dropped
+    return ((total, n_p, ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real)
+            for total, n_p, lam, u in _sector_eigensystems(n_max))
 
 
 def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
@@ -190,27 +210,15 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
     as the same [[c, s], [-s, c]] matrix the analytic engine uses, which
     is what makes this module a cross-check of that engine.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("rotation angle must be finite")
-    p, q = _pair_positions(space, mode_pair)
-    pos_p, pos_q = space.mode_position(p), space.mode_position(q)
-    n_max = space.n_max
-    stride_p = (n_max + 1) ** (len(space.modes) - 1 - pos_p)
-    stride_q = (n_max + 1) ** (len(space.modes) - 1 - pos_q)
+    blocks = _sector_blocks(space.n_max, alpha)
+    pos_p, pos_q = _pair_positions(space, mode_pair)
+    stride_p = (space.n_max + 1) ** (len(space.modes) - 1 - pos_p)
+    stride_q = (space.n_max + 1) ** (len(space.modes) - 1 - pos_q)
     # one base index per occupation of the other modes, with p and q empty
     occ = space.occupations
     bases = np.flatnonzero((occ[:, pos_p] == 0) & (occ[:, pos_q] == 0))
     v = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for total in range(2 * n_max + 1):
-        n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-        # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
-        # are where the cap stops a+_p or a+_q, as in the dense matrix
-        hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
-        lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
-        # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
-        # real, so the imaginary part is rounding and is dropped
-        block = ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real
+    for total, n_p, block in blocks:
         index = bases[:, None] + n_p * stride_p + (total - n_p) * stride_q
         v[index[:, :, None], index[:, None, :]] = block
     return v
@@ -226,27 +234,27 @@ def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = T
     restrict=False the truncation edge contributes O(1) defects for any
     appreciable angle, which is the expected signature of the cap, not
     an implementation fault.
+
+    V is block-diagonal in the pair number and a lowers it by one, so the
+    columns of pair number N hold V_{N-1}^T L V_N - (c L_p +- s L_q), with
+    L the lowering map from sector N into N - 1. The defect is the same
+    for every occupation of the other modes, so each sector's squared
+    norm counts once per such occupation; no dense matrix is formed.
     """
-    p, q = _pair_positions(space, mode_pair)
-    v = v_unitary(space, mode_pair, alpha)
-    keep = np.ones(space.dim, dtype=bool)
-    if restrict:
-        pair_total = (
-            space.occupations[:, space.mode_position(p)]
-            + space.occupations[:, space.mode_position(q)]
-        )
-        keep = pair_total < space.n_max
-    a_p = ladder(space, p, "lowering")[:, keep]
-    a_q = ladder(space, q, "lowering")[:, keep]
+    blocks = _sector_blocks(space.n_max, alpha)
+    _pair_positions(space, mode_pair)
     c, s = math.cos(alpha), math.sin(alpha)
-    # V+ (a V) on the kept columns only, with a_p V and a_q V side by side
-    # so that both conjugations share one dense product
-    v_keep = v[:, keep]
-    stacked = np.hstack((_lower(space, p, v_keep), _lower(space, q, v_keep)))
-    conj_p, conj_q = np.hsplit(v.conj().T @ stacked, 2)
-    defect_p = conj_p - (c * a_p + s * a_q)
-    defect_q = conj_q - (c * a_q - s * a_p)
-    return max(float(np.linalg.norm(defect_p)), float(np.linalg.norm(defect_q)))
+    top = space.n_max if restrict else 2 * space.n_max + 1
+    sum_p = sum_q = 0.0
+    for (_, prev_n_p, prev), (total, n_p, block) in itertools.pairwise(
+            itertools.islice(blocks, top)):
+        # a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q>, a_q |n_p, n_q> = sqrt(n_q) |n_p, n_q-1>
+        low_p = (prev_n_p[:, None] == n_p - 1) * np.sqrt(n_p)
+        low_q = (prev_n_p[:, None] == n_p) * np.sqrt(total - n_p)
+        sum_p += float(np.sum((prev.T @ low_p @ block - (c * low_p + s * low_q)) ** 2))
+        sum_q += float(np.sum((prev.T @ low_q @ block - (c * low_q - s * low_p)) ** 2))
+    copies = space.dim // (space.n_max + 1) ** 2
+    return math.sqrt(copies * max(sum_p, sum_q))
 
 
 def commutator_preservation_check(space: FockSpace, mode_pair, alpha: float) -> float:
@@ -256,11 +264,10 @@ def commutator_preservation_check(space: FockSpace, mode_pair, alpha: float) -> 
     full truncated space (no subspace restriction needed); the residual
     only carries floating-point noise.
     """
-    p, q = _pair_positions(space, mode_pair)
     v = v_unitary(space, mode_pair, alpha)
     vh = v.conj().T
     ops = []
-    for m in (p, q):
+    for m in mode_pair:
         for kind in _KINDS:
             ops.append(ladder(space, m, kind))
     worst = 0.0

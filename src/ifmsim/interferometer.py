@@ -167,8 +167,10 @@ class Layout:
         for vid in VERTEX_IDS:
             if vid not in self.vertices:
                 raise ConfigurationError(f"layout is missing vertex {vid}")
-            if self.vertices[vid].shape != (3,):
-                raise ConfigurationError(f"vertex {vid} position must be a 3-vector")
+            position = self.vertices[vid]
+            if position.shape != (3,) or not all(map(math.isfinite, position.tolist())):
+                raise ConfigurationError(f"vertex {vid} position must be a finite 3-vector, "
+                                         f"got {position}", at=("vertex", vid))
         for vid, kind in _EXPECTED_KINDS.items():
             element = self.elements.get(vid)
             if element is None:

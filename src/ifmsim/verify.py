@@ -33,13 +33,9 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _space(n_max=6):
-    return fock.build_space(("p", "q"), n_max)
-
-
 def fock_checks(n_max: int = 6) -> list[CheckResult]:
-    space = _space(n_max)
     pair = ("p", "q")
+    space = fock.build_space(pair, n_max)
     results = []
 
     worst = 0.0
@@ -107,34 +103,27 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     rng = np.random.default_rng(seed)
     results = []
 
-    worst_energy = 0.0
-    worst_transverse = 0.0
-    worst_det = 0.0
-    worst_invol = 0.0
-    worst_orth = 0.0
-    for _ in range(samples):
-        normal = rng.normal(size=3)
-        while np.linalg.norm(normal) < 1e-3:
-            normal = rng.normal(size=3)
-        refl = householder(normal)
-        r = refl.matrix
-        worst_det = max(worst_det, abs(float(np.linalg.det(r)) + 1.0))
-        worst_invol = max(worst_invol, float(np.max(np.abs(r @ r - np.eye(3)))))
-        worst_orth = max(worst_orth, float(np.max(np.abs(r.T @ r - np.eye(3)))))
+    # every draw is a (samples, 3) array; a row under its floor is drawn again
+    normals = rng.normal(size=(samples, 3))
+    while (short := np.linalg.norm(normals, axis=1) < 1e-3).any():
+        normals[short] = rng.normal(size=(short.sum(), 3))
+    r = np.stack([householder(normal).matrix for normal in normals])
+    worst_det = float(np.max(np.abs(np.linalg.det(r) + 1.0)))
+    worst_invol = float(np.max(np.abs(r @ r - np.eye(3))))
+    worst_orth = float(np.max(np.abs(r.transpose(0, 2, 1) @ r - np.eye(3))))
 
-        p = rng.normal(size=3) * rng.uniform(0.1, 10.0)
-        while np.linalg.norm(p) < 1e-6:
-            p = rng.normal(size=3)
-        pol = np.cross(p, rng.normal(size=3))
-        while np.linalg.norm(pol) < 1e-9:
-            pol = np.cross(p, rng.normal(size=3))
-        pol = pol / np.linalg.norm(pol)
-        mode = PhotonMode(momentum=p, polarization=pol)
-        out_p = r @ mode.momentum
-        out_pol = r @ mode.polarization
-        worst_energy = max(worst_energy,
-                           abs(float(np.linalg.norm(out_p)) - mode.energy))
-        worst_transverse = max(worst_transverse, abs(float(out_pol @ out_p)))
+    p = rng.normal(size=(samples, 3)) * rng.uniform(0.1, 10.0, size=(samples, 1))
+    while (short := np.linalg.norm(p, axis=1) < 1e-6).any():
+        p[short] = rng.normal(size=(short.sum(), 3))
+    pol = np.cross(p, rng.normal(size=(samples, 3)))
+    while (short := np.linalg.norm(pol, axis=1) < 1e-9).any():
+        pol[short] = np.cross(p[short], rng.normal(size=(short.sum(), 3)))
+    pol /= np.linalg.norm(pol, axis=1, keepdims=True)
+    out_p = np.einsum("nij,nj->ni", r, p)
+    out_pol = np.einsum("nij,nj->ni", r, pol)
+    energy = np.sqrt(np.einsum("ni,ni->n", p, p))
+    worst_energy = float(np.max(np.abs(np.linalg.norm(out_p, axis=1) - energy)))
+    worst_transverse = float(np.max(np.abs(np.einsum("ni,ni->n", out_pol, out_p))))
     results.append(CheckResult("reflection preserves |p|", worst_energy, 1e-12))
     results.append(CheckResult("reflection keeps transversality", worst_transverse, 1e-11))
     results.append(CheckResult("reflection determinant -1", worst_det, 1e-12))
@@ -159,11 +148,16 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     return results
 
 
+def run_checks() -> list[CheckResult]:
+    """Every check of the suite, in report order."""
+    return fock_checks() + optics_checks()
+
+
 def run_verification(stream=None) -> bool:
     """Run every check, print one PASS/FAIL line each, return overall success."""
     if stream is None:
         stream = sys.stdout
-    results = fock_checks() + optics_checks()
+    results = run_checks()
     ok = True
     for result in results:
         status = "PASS" if result.passed else "FAIL"

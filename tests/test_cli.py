@@ -326,6 +326,28 @@ def test_verify_exit_two_on_tolerance_failure(monkeypatch, capsys):
     assert code == 2
 
 
+def test_verify_json_lines(monkeypatch, capsys):
+    code, text, _ = invoke(capsys, "verify")
+    assert code == 0
+    code, out, _ = invoke(capsys, "verify", "--json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    # one line per check of the text report, in its order
+    assert [row["name"] for row in rows] == [
+        line[len("[PASS] "):].split(": residual ")[0] for line in text.splitlines()[:-1]]
+    for row in rows:
+        assert list(row) == ["name", "residual", "tolerance", "margin", "passed"]
+        assert row["passed"] is True
+        assert row["margin"] == row["tolerance"] - row["residual"]
+    import ifmsim.cli as cli_module
+    from ifmsim.verify import CheckResult
+    monkeypatch.setattr(cli_module, "run_checks", lambda: [CheckResult("broken", 2e-9, 1e-9)])
+    code, out, _ = invoke(capsys, "verify", "--json")
+    assert code == 2
+    assert json.loads(out) == {"name": "broken", "residual": 2e-9, "tolerance": 1e-9,
+                               "margin": 1e-9 - 2e-9, "passed": False}
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "simulate", "--help")[0] == 0

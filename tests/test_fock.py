@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -147,6 +148,52 @@ def test_rotation_check_full_space_sees_truncation_edge(two_mode_space):
     # without the subspace restriction the cap produces O(1) defects;
     # that is the truncation artifact, not a bug
     assert rotation_check(two_mode_space, PAIR, math.pi / 4, restrict=False) > 1e-3
+
+
+def _dense_rotation_residual(space, pair, alpha, restrict):
+    # the same residual from dense matrices: V+ (a V) on the kept columns
+    p, q = pair
+    v = v_unitary(space, pair, alpha)
+    keep = np.ones(space.dim, dtype=bool)
+    if restrict:
+        occ = space.occupations
+        keep = occ[:, space.mode_position(p)] + occ[:, space.mode_position(q)] < space.n_max
+    a_p, a_q = ladder(space, p, "lowering"), ladder(space, q, "lowering")
+    conj_p = v.conj().T @ (a_p @ v[:, keep])
+    conj_q = v.conj().T @ (a_q @ v[:, keep])
+    c, s = math.cos(alpha), math.sin(alpha)
+    return max(np.linalg.norm(conj_p - (c * a_p + s * a_q)[:, keep]),
+               np.linalg.norm(conj_q - (c * a_q - s * a_p)[:, keep]))
+
+
+@pytest.mark.parametrize("modes, pair", [
+    (("p", "q"), ("p", "q")),
+    (("p", "q"), ("q", "p")),
+    (("p", "r", "q"), ("p", "q")),
+    (("p", "r", "q"), ("q", "p")),
+    (("p", "r", "q"), ("r", "q")),
+])
+@pytest.mark.parametrize("n_max", [1, 2, 6])
+def test_rotation_check_matches_dense_residual(modes, pair, n_max):
+    space = build_space(modes, n_max)
+    for alpha in (0.3, math.pi / 4, 2.0, -1.1):
+        dense = _dense_rotation_residual(space, pair, alpha, restrict=True)
+        assert abs(rotation_check(space, pair, alpha) - dense) <= 2e-15
+        dense = _dense_rotation_residual(space, pair, alpha, restrict=False)
+        assert dense > 1e-3
+        assert abs(rotation_check(space, pair, alpha, restrict=False) - dense) <= 1e-12 * dense
+
+
+def test_rotation_check_memory_is_per_sector():
+    # one dense complex operator at n_max 28 is 11 MiB; the sector blocks are small
+    space = build_space(PAIR, 28)
+    tracemalloc.start()
+    try:
+        rotation_check(space, PAIR, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 7, math.pi / 4, math.pi / 2])

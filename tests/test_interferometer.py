@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -249,6 +250,19 @@ def test_geometry_checked_once_on_construction(square, change, at):
     with pytest.raises(ConfigurationError) as caught:
         Layout(vertices, elements, square.arms, source, 0.05)
     assert caught.value.at == at
+
+
+@pytest.mark.parametrize("vid, value", [("L12", math.nan), ("L21", math.inf),
+                                        ("L11", -math.inf)])
+def test_non_finite_vertex_named_before_steering(square, vid, value):
+    position = np.array(square.vertices[vid])
+    position[1] = value
+    message = f"vertex {vid} position must be a finite 3-vector"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message) as caught:
+            replace(square, vertices={**square.vertices, vid: position})
+    assert caught.value.at == ("vertex", vid)
 
 
 def test_built_layout_is_immutable(square):
