@@ -248,8 +248,7 @@ def _cmd_verify(args) -> int:
         return 0 if run_verification(sys.stdout) else 2
     results = run_checks()
     for r in results:
-        row = {**asdict(r), "margin": r.tolerance - r.residual, "passed": r.passed}
-        print("{" + ", ".join(f"{json.dumps(k)}: {_json_dumps(v)}" for k, v in row.items()) + "}")
+        print(json.dumps({**asdict(r), "margin": r.tolerance - r.residual, "passed": r.passed}))
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -35,7 +35,6 @@ OPERATOR_BYTES (128 MiB, dim <= 2896).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -159,40 +158,27 @@ def _pair_positions(space: FockSpace, mode_pair) -> tuple[int, int]:
     return space.mode_position(p), space.mode_position(q)
 
 
-@functools.lru_cache(maxsize=4)
-def _sector_eigensystems(n_max: int) -> tuple:
-    """(total, n_p, lam, u) per pair number total = n_p + n_q = 0..2 n_max.
+def _sector_block(n_max: int, total: int, alpha: float) -> tuple:
+    """(total, n_p, block): the rotation's real block for pair number total.
 
-    The rotation's generator restricted to one sector is tridiagonal and
-    depends on n_max and the sector only, not on the angle or the pair,
-    so its Hermitian eigendecomposition iG = U diag(lam) U+ is made once
-    per n_max and shared read-only.
+    Rows and columns follow n_p ascending, with n_q = total - n_p.
     """
-    sectors = []
-    for total in range(2 * n_max + 1):
-        n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-        # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
-        # are where the cap stops a+_p or a+_q, as in the dense matrix
-        hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
-        lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
-        for array in (n_p, lam, u):
-            array.setflags(write=False)
-        sectors.append((total, n_p, lam, u))
-    return tuple(sectors)
+    n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+    # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
+    # are where the cap stops a+_p or a+_q, as in the dense matrix
+    hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
+    # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
+    # real, so the imaginary part is rounding and is dropped
+    lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
+    return total, n_p, ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real
 
 
 def _sector_blocks(n_max: int, alpha: float):
-    """Iterator of (total, n_p, block), the rotation's real block per pair number.
-
-    Rows and columns of a block follow n_p ascending, with n_q = total - n_p.
-    """
+    """Iterator of `_sector_block` over pair numbers 0..2 n_max."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
-    # real, so the imaginary part is rounding and is dropped
-    return ((total, n_p, ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real)
-            for total, n_p, lam, u in _sector_eigensystems(n_max))
+    return (_sector_block(n_max, total, alpha) for total in range(2 * n_max + 1))
 
 
 def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:

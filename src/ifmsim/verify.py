@@ -107,11 +107,6 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     normals = rng.normal(size=(samples, 3))
     while (short := np.linalg.norm(normals, axis=1) < 1e-3).any():
         normals[short] = rng.normal(size=(short.sum(), 3))
-    r = np.stack([householder(normal).matrix for normal in normals])
-    worst_det = float(np.max(np.abs(np.linalg.det(r) + 1.0)))
-    worst_invol = float(np.max(np.abs(r @ r - np.eye(3))))
-    worst_orth = float(np.max(np.abs(r.transpose(0, 2, 1) @ r - np.eye(3))))
-
     p = rng.normal(size=(samples, 3)) * rng.uniform(0.1, 10.0, size=(samples, 1))
     while (short := np.linalg.norm(p, axis=1) < 1e-6).any():
         p[short] = rng.normal(size=(short.sum(), 3))
@@ -119,9 +114,18 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     while (short := np.linalg.norm(pol, axis=1) < 1e-9).any():
         pol[short] = np.cross(p[short], rng.normal(size=(short.sum(), 3)))
     pol /= np.linalg.norm(pol, axis=1, keepdims=True)
-    out_p = np.einsum("nij,nj->ni", r, p)
-    out_pol = np.einsum("nij,nj->ni", r, pol)
-    energy = np.sqrt(np.einsum("ni,ni->n", p, p))
+
+    # the library builds (and validates) every reflection and every mode;
+    # only the checks on them run over the stacks
+    r, modes = zip(*[(householder(normal).matrix, PhotonMode(momentum=m, polarization=e))
+                     for normal, m, e in zip(normals, p, pol)])
+    r = np.stack(r)
+    worst_det = float(np.max(np.abs(np.linalg.det(r) + 1.0)))
+    worst_invol = float(np.max(np.abs(r @ r - np.eye(3))))
+    worst_orth = float(np.max(np.abs(r.transpose(0, 2, 1) @ r - np.eye(3))))
+    out_p = np.einsum("nij,nj->ni", r, np.stack([mode.momentum for mode in modes]))
+    out_pol = np.einsum("nij,nj->ni", r, np.stack([mode.polarization for mode in modes]))
+    energy = np.array([mode.energy for mode in modes])
     worst_energy = float(np.max(np.abs(np.linalg.norm(out_p, axis=1) - energy)))
     worst_transverse = float(np.max(np.abs(np.einsum("ni,ni->n", out_pol, out_p))))
     results.append(CheckResult("reflection preserves |p|", worst_energy, 1e-12))

@@ -3,7 +3,7 @@ import io
 import numpy as np
 
 from ifmsim import verify
-from ifmsim.optics import HouseholderReflection, householder
+from ifmsim.optics import HouseholderReflection, PhotonMode, householder
 
 
 def test_optics_checks_test_the_library_reflection(monkeypatch):
@@ -42,3 +42,16 @@ def test_optics_checks_redraw_rows_under_their_floors(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", ZeroFirstRow)
     results = verify.optics_checks(samples=SAMPLES)
     assert all(result.passed for result in results)
+
+
+def test_optics_checks_test_the_library_photon_mode(monkeypatch):
+    # |p| after the reflection is compared with the library's own mode energy
+    class Skewed(PhotonMode):
+        @property
+        def energy(self):
+            return super().energy + 1e-10
+
+    monkeypatch.setattr(verify, "PhotonMode", Skewed)
+    buffer = io.StringIO()
+    assert not verify.run_verification(buffer)
+    assert "[FAIL] reflection preserves |p|: " in buffer.getvalue()
