@@ -11,6 +11,12 @@ directive order is free:
     bomb arm <label> [efficiency <e>]
     detector <D1|D2> port <a|b>
 
+A line must match its usage with or without the bracketed tail: a tail
+is given whole or not at all. Each directive builds its library object
+(`householder` and `OpticalElement`, `Arm`, `PhotonMode`, `Obstruction`)
+as it is read, so the value rules are the library's own and a refused
+value is reported at its token.
+
 Parsing never raises on bad input; problems come back as positioned
 diagnostics (1-based line and column). Only error-severity diagnostics
 block layout construction: a non-unit normal or polarization is
@@ -31,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .interferometer import (
     ARM_PAIRS,
     INPUT_ARM_PAIRS,
@@ -41,10 +46,9 @@ from .interferometer import (
     Obstruction,
     _EXPECTED_KINDS,
 )
-from .optics import OpticalElement, PhotonMode, householder
+from .optics import _UNIT_TOL, OpticalElement, PhotonMode, householder
 
 _TOKEN_RE = re.compile(r"\S+")
-_UNIT_WARN_TOL = 1e-9
 
 
 @dataclass
@@ -82,33 +86,26 @@ class _Token:
     column: int
 
 
-_USAGE = {
-    "vertex": "vertex <id> <x> <y> <z>",
-    "beamsplitter": "beamsplitter <vertex> normal <x> <y> <z>",
-    "mirror": "mirror <vertex> normal <x> <y> <z>",
-    "arm": "arm <from> <to> length <L> [label <name>]",
-    "source": "source momentum <x> <y> <z> polarization <x> <y> <z> width <sigma>",
-    "bomb": "bomb arm <label> [efficiency <e>]",
-    "detector": "detector <D1|D2> port <a|b>",
-}
-
-
 class _ParseState:
     def __init__(self):
         self.diagnostics: list[Diagnostic] = []
-        self.vertices: dict[str, tuple[_Token, np.ndarray]] = {}
-        self.elements: dict[str, dict] = {}
-        self.arms: dict[tuple[str, str], dict] = {}
+        # each record holds the directive's tokens and what the directive built
+        self.vertices: dict[str, tuple[list[_Token], np.ndarray]] = {}
+        self.elements: dict[str, tuple[list[_Token], OpticalElement]] = {}
+        self.arms: dict[tuple[str, str], tuple[list[_Token], Arm]] = {}
         self.arm_labels: dict[str, tuple[str, str]] = {}
-        self.source: dict | None = None
-        self.bomb: dict | None = None
-        self.detectors: dict[str, dict] = {}
+        self.source: tuple[list[_Token], PhotonMode, float] | None = None
+        self.bomb: tuple[list[_Token], Obstruction] | None = None
+        self.detectors: dict[str, tuple[list[_Token], str]] = {}
 
     def error(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(tok.line, tok.column, "error", message))
 
     def warning(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(tok.line, tok.column, "warning", message))
+
+    def duplicate(self, tok: _Token, what: str, record):
+        self.error(tok, f"{what} already defined on line {record[0][0].line}")
 
     def number(self, tok: _Token, what: str) -> float | None:
         try:
@@ -133,77 +130,72 @@ class _ParseState:
             return False
         return True
 
+    def build(self, tok: _Token, make, *args):
+        """make(*args), or None with the ValueError it raised reported at tok."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            self.error(tok, str(exc))
+            return None
+
 
 def _parse_vertex(state: _ParseState, toks: list[_Token]):
     ident = toks[1]
     if ident.text in state.vertices:
-        first = state.vertices[ident.text][0]
-        state.error(ident, f"vertex {ident.text!r} already defined on line {first.line}")
+        state.duplicate(ident, f"vertex {ident.text!r}", state.vertices[ident.text])
         return
     position = state.vector(toks[2:5], "vertex position")
-    if position is None:
-        return
-    state.vertices[ident.text] = (ident, position)
+    if position is not None:
+        state.vertices[ident.text] = (toks, position)
 
 
 def _parse_element(state: _ParseState, toks: list[_Token]):
-    kind = toks[0].text
     vertex = toks[1]
     if not state.keyword(toks[2], "normal"):
         return
     normal = state.vector(toks[3:6], "normal")
     if normal is None:
         return
+    reflection = state.build(toks[3], householder, normal)
+    if reflection is None:
+        return
     length = math.sqrt(normal.dot(normal))  # np.linalg.norm, without its overhead
-    if length == 0.0:
-        state.error(toks[3], "degenerate normal: zero vector defines no reflection plane")
-        return
-    if abs(length - 1.0) > _UNIT_WARN_TOL:
+    if abs(length - 1.0) > _UNIT_TOL:
         state.warning(toks[3], f"normal has length {length:.6g}; normalized to unit")
-        normal = normal / length
     if vertex.text in state.elements:
-        first = state.elements[vertex.text]["token"].line
-        state.error(vertex, f"element at vertex {vertex.text!r} already defined on line {first}")
+        state.duplicate(vertex, f"element at vertex {vertex.text!r}",
+                        state.elements[vertex.text])
         return
-    state.elements[vertex.text] = {"token": vertex, "kind": kind, "normal": normal,
-                                   "normal_token": toks[3]}
+    element = OpticalElement(toks[0].text, reflection, vertex.text)
+    state.elements[vertex.text] = (toks, element)
 
 
 def _parse_arm(state: _ParseState, toks: list[_Token]):
-    start, end = toks[1], toks[2]
+    pair = (toks[1].text, toks[2].text)
     if not state.keyword(toks[3], "length"):
         return
     length = state.number(toks[4], "arm length")
     if length is None:
         return
-    if not length > 0.0:
-        state.error(toks[4], f"arm length must be positive, got {toks[4].text}")
+    labelled = len(toks) == 7
+    label_tok = toks[6] if labelled else toks[0]
+    label = label_tok.text if labelled else f"{pair[0]}_{pair[1]}"
+    arm = state.build(toks[4], Arm, *pair, length, label)
+    if arm is None or (labelled and not state.keyword(toks[5], "label")):
         return
-    if len(toks) == 7:
-        if not state.keyword(toks[5], "label"):
-            return
-        label_tok = toks[6]
-        label = label_tok.text
-    else:
-        label_tok = toks[0]
-        label = f"{start.text}_{end.text}"
-    pair = (start.text, end.text)
     if pair in state.arms:
-        first = state.arms[pair]["token"].line
-        state.error(toks[0], f"arm {pair[0]}->{pair[1]} already defined on line {first}")
+        state.duplicate(toks[0], f"arm {pair[0]}->{pair[1]}", state.arms[pair])
         return
     if label in state.arm_labels:
         state.error(label_tok, f"arm label {label!r} already used")
         return
-    state.arms[pair] = {"token": toks[0], "start": start, "end": end,
-                        "length": length, "label": label}
+    state.arms[pair] = (toks, arm)
     state.arm_labels[label] = pair
 
 
 def _parse_source(state: _ParseState, toks: list[_Token]):
     if state.source is not None:
-        state.error(toks[0], "source already defined on line "
-                    f"{state.source['token'].line}")
+        state.duplicate(toks[0], "source", state.source)
         return
     if not state.keyword(toks[1], "momentum"):
         return
@@ -216,30 +208,26 @@ def _parse_source(state: _ParseState, toks: list[_Token]):
     width = state.number(toks[10], "packet width")
     if momentum is None or polarization is None or width is None:
         return
-    p_mag = math.sqrt(momentum.dot(momentum))
-    if p_mag == 0.0:
-        state.error(toks[2], "source momentum must be nonzero")
-        return
+    # PhotonMode takes a unit polarization only; the file may give any nonzero one
     pol_len = math.sqrt(polarization.dot(polarization))
     if pol_len == 0.0:
         state.error(toks[6], "polarization must be a nonzero vector")
         return
-    if abs(pol_len - 1.0) > _UNIT_WARN_TOL:
+    if abs(pol_len - 1.0) > _UNIT_TOL:
         state.warning(toks[6], f"polarization has length {pol_len:.6g}; normalized to unit")
         polarization = polarization / pol_len
-    if abs(float(polarization @ momentum)) > _UNIT_WARN_TOL * p_mag:
-        state.error(toks[6], "polarization must be transverse to the momentum")
+    mode = state.build(toks[2], PhotonMode, momentum, polarization)
+    if mode is None:
         return
     if not width > 0.0:
         state.error(toks[10], f"packet width must be positive, got {toks[10].text}")
         return
-    state.source = {"token": toks[0], "momentum": momentum, "momentum_token": toks[2],
-                    "polarization": polarization, "width": width}
+    state.source = (toks, mode, width)
 
 
 def _parse_bomb(state: _ParseState, toks: list[_Token]):
     if state.bomb is not None:
-        state.error(toks[0], f"bomb already defined on line {state.bomb['token'].line}")
+        state.duplicate(toks[0], "bomb", state.bomb)
         return
     if not state.keyword(toks[1], "arm"):
         return
@@ -247,14 +235,12 @@ def _parse_bomb(state: _ParseState, toks: list[_Token]):
     if len(toks) == 5:
         if not state.keyword(toks[3], "efficiency"):
             return
-        value = state.number(toks[4], "efficiency")
-        if value is None:
+        efficiency = state.number(toks[4], "efficiency")
+        if efficiency is None:
             return
-        if not 0.0 <= value <= 1.0:
-            state.error(toks[4], f"efficiency must lie in [0, 1], got {toks[4].text}")
-            return
-        efficiency = value
-    state.bomb = {"token": toks[0], "label": toks[2], "efficiency": efficiency}
+    obstruction = state.build(toks[-1], Obstruction, toks[2].text, efficiency)
+    if obstruction is not None:
+        state.bomb = (toks, obstruction)
 
 
 def _parse_detector(state: _ParseState, toks: list[_Token]):
@@ -269,20 +255,26 @@ def _parse_detector(state: _ParseState, toks: list[_Token]):
         state.error(port, f"detector port must be a or b, got {port.text!r}")
         return
     if name.text in state.detectors:
-        first = state.detectors[name.text]["token"].line
-        state.error(name, f"detector {name.text} already defined on line {first}")
+        state.duplicate(name, f"detector {name.text}", state.detectors[name.text])
         return
-    state.detectors[name.text] = {"token": name, "port": port.text, "port_token": port}
+    state.detectors[name.text] = (toks, port.text)
 
 
+# The grammar: directive name -> (usage, accepted token counts, handler). A
+# line must match its usage exactly, with or without the bracketed tail.
 _DIRECTIVES = {
-    "vertex": (5, 5, _parse_vertex),
-    "beamsplitter": (6, 6, _parse_element),
-    "mirror": (6, 6, _parse_element),
-    "arm": (5, 7, _parse_arm),
-    "source": (11, 11, _parse_source),
-    "bomb": (3, 5, _parse_bomb),
-    "detector": (4, 4, _parse_detector),
+    usage.split()[0]: (usage, (len(usage.partition("[")[0].split()), len(usage.split())),
+                       handler)
+    for usage, handler in (
+        ("vertex <id> <x> <y> <z>", _parse_vertex),
+        ("beamsplitter <vertex> normal <x> <y> <z>", _parse_element),
+        ("mirror <vertex> normal <x> <y> <z>", _parse_element),
+        ("arm <from> <to> length <L> [label <name>]", _parse_arm),
+        ("source momentum <x> <y> <z> polarization <x> <y> <z> width <sigma>",
+         _parse_source),
+        ("bomb arm <label> [efficiency <e>]", _parse_bomb),
+        ("detector <D1|D2> port <a|b>", _parse_detector),
+    )
 }
 
 
@@ -291,44 +283,45 @@ def _resolve(state: _ParseState, end_tok: _Token):
     for vid in VERTEX_IDS:
         if vid not in state.vertices:
             state.error(end_tok, f"missing vertex {vid}")
-    for vid, (tok, _) in state.vertices.items():
+    for vid, (toks, _) in state.vertices.items():
         if vid not in VERTEX_IDS:
-            state.warning(tok, f"vertex {vid!r} is outside the square topology; ignored")
+            state.warning(toks[1], f"vertex {vid!r} is outside the square topology; ignored")
 
     for vid, expected in _EXPECTED_KINDS.items():
-        record = state.elements.get(vid)
-        if record is None:
+        if vid not in state.elements:
             state.error(end_tok, f"missing {expected.value} at vertex {vid}")
-        elif record["kind"] != expected.value:
-            state.error(record["token"],
-                        f"vertex {vid} needs a {expected.value}, found a {record['kind']}")
-    for vid, record in state.elements.items():
+            continue
+        toks, element = state.elements[vid]
+        if element.kind is not expected:
+            state.error(toks[1],
+                        f"vertex {vid} needs a {expected.value}, found a {element.kind.value}")
+    for vid, (toks, _) in state.elements.items():
         if vid not in VERTEX_IDS:
-            state.error(record["token"],
+            state.error(toks[1],
                         f"unexpected element at vertex {vid!r}; the square uses "
                         f"{', '.join(VERTEX_IDS)}")
 
     for pair in ARM_PAIRS:
         if pair not in state.arms:
             state.error(end_tok, f"missing arm {pair[0]}->{pair[1]}")
-    for pair, record in state.arms.items():
-        for tok in (record["start"], record["end"]):
+    for pair, (toks, _) in state.arms.items():
+        for tok in toks[1:3]:
             if tok.text not in state.vertices:
                 state.error(tok, f"unknown vertex {tok.text!r}")
         if pair not in ARM_PAIRS:
-            state.error(record["token"],
+            state.error(toks[0],
                         f"arm {pair[0]}->{pair[1]} is not part of the square topology")
 
     if state.source is None:
         state.error(end_tok, "missing source directive")
 
     if state.bomb is not None:
-        label_tok = state.bomb["label"]
+        label_tok = state.bomb[0][2]
         pair = state.arm_labels.get(label_tok.text)
         if pair is None:
             state.error(label_tok, f"unknown arm label {label_tok.text!r}")
         elif pair not in INPUT_ARM_PAIRS:
-            valid = sorted(state.arms[p]["label"] for p in INPUT_ARM_PAIRS
+            valid = sorted(state.arms[p][1].label for p in INPUT_ARM_PAIRS
                            if p in state.arms)
             state.error(label_tok,
                         f"bomb arm {label_tok.text!r} is not an input-side arm; "
@@ -337,11 +330,9 @@ def _resolve(state: _ParseState, end_tok: _Token):
     ports = {"D1": "a", "D2": "b"}
     taken: dict[str, str] = {}
     for name in sorted(state.detectors):
-        record = state.detectors[name]
-        port = record["port"]
+        toks, port = state.detectors[name]
         if port in taken.values():
-            state.error(record["port_token"],
-                        f"port {port!r} already assigned to another detector")
+            state.error(toks[3], f"port {port!r} already assigned to another detector")
         else:
             taken[name] = port
     for name, port in taken.items():
@@ -359,10 +350,14 @@ def _fault_token(state: _ParseState, at, default: _Token) -> _Token:
         return default
     kind, vid = at
     if kind == "vertex":
-        return state.vertices[vid][0]
+        return state.vertices[vid][0][1]
     if kind == "element":
-        return state.elements[vid]["normal_token"]
-    return state.source["momentum_token"]
+        return state.elements[vid][0][3]
+    return state.source[0][2]
+
+
+def _objects(records: dict) -> dict:
+    return {key: record[1] for key, record in records.items()}
 
 
 def parse_layout(text: str) -> LayoutDocument:
@@ -380,9 +375,9 @@ def parse_layout(text: str) -> LayoutDocument:
         if spec is None:
             state.error(head, f"unknown directive {head.text!r}")
             continue
-        low, high, handler = spec
-        if not low <= len(toks) <= high:
-            state.error(head, f"malformed directive: expected {_USAGE[head.text]!r}")
+        usage, arities, handler = spec
+        if len(toks) not in arities:
+            state.error(head, f"malformed directive: expected {usage!r}")
             continue
         handler(state, toks)
 
@@ -391,26 +386,14 @@ def parse_layout(text: str) -> LayoutDocument:
 
     layout = None
     if not any(d.severity == "error" for d in state.diagnostics):
+        _, source, width = state.source
         try:
-            vertices = {vid: pos for vid, (tok, pos) in state.vertices.items()}
-            elements = {
-                vid: OpticalElement(record["kind"], householder(record["normal"]), vid)
-                for vid, record in state.elements.items()
-            }
-            arms = {
-                pair: Arm(pair[0], pair[1], record["length"], record["label"])
-                for pair, record in state.arms.items()
-            }
-            src = PhotonMode(momentum=state.source["momentum"],
-                             polarization=state.source["polarization"])
-            obstruction = None
-            if state.bomb is not None:
-                obstruction = Obstruction(arm=state.bomb["label"].text,
-                                          efficiency=state.bomb["efficiency"])
-            layout = Layout(vertices=vertices, elements=elements, arms=arms,
-                            source=src, source_width=state.source["width"],
-                            obstruction=obstruction, detectors=ports)
-        except (ConfigurationError, ValueError) as exc:
+            layout = Layout(vertices=_objects(state.vertices),
+                            elements=_objects(state.elements), arms=_objects(state.arms),
+                            source=source, source_width=width,
+                            obstruction=state.bomb[1] if state.bomb else None,
+                            detectors=ports)
+        except ValueError as exc:
             state.error(_fault_token(state, getattr(exc, "at", None), end_tok), str(exc))
     return LayoutDocument(source=text, layout=layout, diagnostics=state.diagnostics)
 

@@ -252,14 +252,12 @@ def commutator_preservation_check(space: FockSpace, mode_pair, alpha: float) -> 
     """
     v = v_unitary(space, mode_pair, alpha)
     vh = v.conj().T
-    ops = []
-    for m in mode_pair:
-        for kind in _KINDS:
-            ops.append(ladder(space, m, kind))
+    ops = [ladder(space, m, kind) for m in mode_pair for kind in _KINDS]
+    conjugated = [vh @ x @ v for x in ops]
     worst = 0.0
-    for x in ops:
-        for y in ops:
-            lhs = commutator(vh @ x @ v, vh @ y @ v)
+    for x, cx in zip(ops, conjugated):
+        for y, cy in zip(ops, conjugated):
+            lhs = commutator(cx, cy)
             rhs = vh @ commutator(x, y) @ v
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst

@@ -56,10 +56,12 @@ class ProcessLeg:
 
     def __post_init__(self):
         self.charge = float(self.charge)
+        if not math.isfinite(self.charge):
+            raise ValueError(f"leg charge must be finite, got {self.charge}")
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 (outgoing) or -1 (incoming), got {self.eta}")
         self.velocity = float(self.velocity)
-        if self.velocity < 0.0:
+        if not self.velocity >= 0.0:
             raise ValueError(f"leg velocity must be nonnegative, got {self.velocity}")
         if self.velocity >= 1.0:
             raise DivergenceError(
@@ -126,7 +128,7 @@ def weinberg_factor_fermion(beta: float) -> float:
     raised with the physical reason.
     """
     beta = float(beta)
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if beta >= 1.0:
         raise DivergenceError(
@@ -205,8 +207,8 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
 def mean_photons(factor: float, window: SoftWindow) -> float:
     """Expected photon count mu = A ln(E+/E-) inside the window."""
     factor = float(factor)
-    if factor < 0.0:
-        raise ValueError(f"emission factor must be nonnegative, got {factor}")
+    if not 0.0 <= factor < math.inf:
+        raise ValueError(f"emission factor must be finite and nonnegative, got {factor}")
     return factor * window.log_ratio
 
 
@@ -236,8 +238,8 @@ def pollution_probability(mu: float, config: PollutionConfig) -> float:
     precision when the rate is tiny.
     """
     mu = float(mu)
-    if mu < 0.0:
-        raise ValueError(f"mean photon count must be nonnegative, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mean photon count must be finite and nonnegative, got {mu}")
     return -math.expm1(-mu * config.solid_angle_fraction)
 
 
@@ -268,7 +270,7 @@ def corrected_probabilities(report: DetectionReport, pollution: float,
     if not 0.0 <= pollution <= 1.0:
         raise ValueError(f"pollution probability must lie in [0, 1], got {pollution}")
     share_d1, share_d2 = (float(s) for s in detector_share)
-    if share_d1 < 0.0 or share_d2 < 0.0 or share_d1 + share_d2 > 1.0 + 1e-12:
+    if not (share_d1 >= 0.0 and share_d2 >= 0.0 and share_d1 + share_d2 <= 1.0 + 1e-12):
         raise ValueError(
             f"detector shares must be nonnegative with sum at most 1, got {detector_share}"
         )

@@ -271,6 +271,18 @@ def test_soft_divergent_inputs_fail(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_soft_non_finite_inputs_blame_their_parameter(tmp_path, capsys):
+    base = ["--e-minus", "0.001", "--e-plus", "1.0", "--solid-angle", "1.0"]
+    code, _, err = invoke(capsys, "soft", "--beta", "nan", *base)
+    assert code == 1 and "error: beta must be nonnegative, got nan" in err
+    target = tmp_path / "legs.json"
+    target.write_text('{"legs": [{"charge": NaN, "eta": -1, "velocity": 0.0}, '
+                      '{"charge": NaN, "eta": 1, "velocity": 0.5}], '
+                      '"pairwise_beta": [[0.0, 0.5], [0.5, 0.0]]}', encoding="utf-8")
+    code, _, err = invoke(capsys, "soft", "--legs", str(target), *base)
+    assert code == 1 and "error: leg charge must be finite, got nan" in err
+
+
 def test_soft_process_group_is_exclusive_and_required(tmp_path, capsys):
     base = ["--e-minus", "0.001", "--e-plus", "1.0", "--solid-angle", "1.0"]
     code, _, _ = invoke(capsys, "soft", *base)

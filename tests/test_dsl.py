@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from ifmsim import (
+    Arm,
+    Obstruction,
+    PhotonMode,
+    householder,
     parse_layout,
     propagate_analytic,
     serialize_layout,
@@ -247,3 +251,49 @@ def test_malformed_arity_reported():
     assert any("expected" in d.message for d in doc.errors)
     doc = parse_layout("arm L11 L12 span 1\n")
     assert any("keyword 'length'" in d.message for d in doc.errors)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    (None, "bomb arm lower 0.5", 16),
+    (None, "bomb arm lower efficiency", 16),
+    ("arm L11 L12 length 1 label lower", "arm L11 L12 length 1 lower", 9),
+], ids=["bomb-value-without-keyword", "bomb-keyword-without-value", "arm-label-without-keyword"])
+def test_incomplete_optional_tail_rejected(old, new, line):
+    text = read_text("mzi.ifm")
+    text = text + new + "\n" if old is None else text.replace(old, new)
+    doc = parse_layout(text)
+    assert doc.layout is None
+    malformed = [d for d in doc.errors if d.message.startswith("malformed directive")]
+    assert [(d.line, d.column) for d in malformed] == [(line, 1)]
+
+
+def _constructor_message(make, *args):
+    with pytest.raises(ValueError) as info:
+        make(*args)
+    return str(info.value)
+
+
+VALUE_RULES = [
+    # (replaced text, replacement, position of the value token, library call)
+    ("arm L11 L12 length 1 label lower", "arm L11 L12 length 0 label lower", (9, 20),
+     (Arm, "L11", "L12", 0.0, "lower")),
+    (None, "bomb arm lower efficiency 1.5", (16, 27), (Obstruction, "lower", 1.5)),
+    ("mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
+     "mirror L12 normal 0 0 0", (6, 19), (householder, (0.0, 0.0, 0.0))),
+    ("polarization 0 0 1", "polarization 1 0 0", (13, 17),
+     (PhotonMode, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("old, new, position, call", VALUE_RULES,
+                         ids=["arm-length", "efficiency", "zero-normal", "transversality"])
+def test_value_rules_are_the_library_constructors(old, new, position, call):
+    text = read_text("mzi.ifm")
+    text = text + new + "\n" if old is None else text.replace(old, new)
+    doc = parse_layout(text)
+    assert doc.layout is None
+    # a refused directive may also leave its piece missing; the rule's own
+    # diagnostic comes first
+    first = doc.errors[0]
+    assert ((first.line, first.column), first.message) == (
+        position, _constructor_message(*call))

@@ -231,3 +231,24 @@ def test_pollution_limit_regimes():
 def test_heaviside_lorentz_coupling_constant():
     assert abs(E_SQUARED_HEAVISIDE_LORENTZ - 4 * math.pi / 137.035999) < 1e-18
     assert abs(E_SQUARED_HEAVISIDE_LORENTZ - 0.0917012369) < 1e-9
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, parameter", [
+    (lambda: weinberg_factor_fermion(NAN), "beta"),
+    (lambda: mean_photons(NAN, SoftWindow(1e-3, 1.0)), "emission factor"),
+    (lambda: mean_photons(INF, SoftWindow(1e-3, 1.0)), "emission factor"),
+    (lambda: pollution_probability(NAN, PollutionConfig(0.5)), "mean photon count"),
+    (lambda: pollution_probability(INF, PollutionConfig(0.5)), "mean photon count"),
+    (lambda: ProcessLeg(charge=1.0, eta=1, velocity=NAN), "leg velocity"),
+    (lambda: ProcessLeg(charge=NAN, eta=1, velocity=0.5), "leg charge"),
+    (lambda: ProcessLeg(charge=INF, eta=1, velocity=0.5), "leg charge"),
+    (lambda: corrected_probabilities(_bomb_report(), 0.5, detector_share=(NAN, 0.5)),
+     "detector shares"),
+], ids=["fermion-beta", "factor-nan", "factor-inf", "mu-nan", "mu-inf", "leg-velocity",
+        "leg-charge-nan", "leg-charge-inf", "detector-share"])
+def test_non_finite_inputs_refused_naming_the_parameter(call, parameter):
+    with pytest.raises(ValueError, match=parameter):
+        call()
