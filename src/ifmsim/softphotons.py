@@ -98,7 +98,10 @@ class SoftWindow:
 
     @property
     def log_ratio(self) -> float:
-        return math.log(self.e_plus / self.e_minus)
+        ratio = self.e_plus / self.e_minus
+        if ratio == math.inf:  # the quotient overflows where the logs do not
+            return math.log(self.e_plus) - math.log(self.e_minus)
+        return math.log(ratio)
 
 
 def _arctanh_over_beta_excess(beta: float) -> float:

@@ -157,6 +157,13 @@ def test_mean_photons_values():
         mean_photons(-0.1, SoftWindow(0.5, 1.0))
 
 
+def test_log_ratio_of_a_window_wider_than_the_float_range():
+    # 1e300 / 1e-300 overflows; the log ratio itself is about 1381.6
+    window = SoftWindow(1e-300, 1e300)
+    assert window.log_ratio == pytest.approx(600.0 * math.log(10.0), rel=1e-15)
+    assert math.isfinite(mean_photons(weinberg_factor_fermion(0.5), window))
+
+
 def test_mean_photons_doubles_with_log_ratio():
     # ln(4) is exactly 2 ln(2) in floats, so the doubling is exact
     a = 0.3178
