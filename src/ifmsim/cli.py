@@ -175,6 +175,9 @@ def _load_legs(path: str):
 
 
 def _cmd_soft(args) -> int:
+    e_squared = args.e_squared
+    if not (math.isfinite(e_squared) and e_squared >= 0.0):
+        raise ValueError(f"--e-squared must be finite and nonnegative, got {e_squared}")
     window = SoftWindow(args.e_minus, args.e_plus)
     config = PollutionConfig(args.solid_angle)
     if args.legs is not None:
@@ -182,7 +185,6 @@ def _cmd_soft(args) -> int:
         factor_e2 = weinberg_factor_general(legs, pairwise)
     else:
         factor_e2 = weinberg_factor_fermion(args.beta)
-    e_squared = args.e_squared
     mu_e2 = mean_photons(factor_e2, window)
     mu = mu_e2 * e_squared
     pollution = pollution_probability(mu, config)

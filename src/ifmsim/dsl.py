@@ -159,7 +159,7 @@ def _parse_element(state: _ParseState, toks: list[_Token]):
     reflection = state.build(toks[3], householder, normal)
     if reflection is None:
         return
-    length = math.sqrt(normal.dot(normal))  # np.linalg.norm, without its overhead
+    length = math.hypot(*normal)  # np.linalg.norm without its overhead, or overflow
     if abs(length - 1.0) > _UNIT_TOL:
         state.warning(toks[3], f"normal has length {length:.6g}; normalized to unit")
     if vertex.text in state.elements:

@@ -24,7 +24,10 @@ of every other mode. Each sector's small tridiagonal generator is
 exponentiated by a Hermitian eigendecomposition instead of exponentiating
 the whole dense matrix; the truncation edge only narrows the sectors with
 n_p + n_q > n_max, so the result equals the exponential of the dense
-truncated generator. `v_unitary` scatters the sector blocks into a dense
+truncated generator. The generator does not depend on the angle, so a
+space diagonalizes each sector once, when a call first needs it, and
+keeps the eigensystem for its own lifetime; each call only forms the
+angle's phases. `v_unitary` scatters the sector blocks into a dense
 matrix; `rotation_check` applies them sector by sector and forms no dense
 unitary or ladder.
 
@@ -47,14 +50,19 @@ OPERATOR_BYTES = 2**27
 _KINDS = ("lowering", "raising")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FockSpace:
-    """Truncated multimode occupation space with a precomputed basis table."""
+    """Truncated multimode occupation space with a precomputed basis table.
+
+    Frozen, so the sector eigensystems it keeps always match its n_max.
+    """
 
     modes: tuple[str, ...]
     n_max: int
     dim: int
     occupations: np.ndarray = field(repr=False)  # (dim, len(modes)) int array
+    # pair number -> read-only (n_p, lam, u) of the rotation generator's sector
+    _eigensystems: dict = field(default_factory=dict, init=False, repr=False)
 
     def mode_position(self, mode: str) -> int:
         try:
@@ -77,6 +85,26 @@ class FockSpace:
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(n) for n in self.occupations[index])
+
+    def _sector_eigensystem(self, total: int) -> tuple:
+        """(n_p, lam, u) with i G = u diag(lam) u+ in the sector of pair number total.
+
+        G is the pair rotation's generator; rows and columns follow n_p
+        ascending, with n_q = total - n_p. Diagonalized on the first call
+        for that sector and kept on the space.
+        """
+        found = self._eigensystems.get(total)
+        if found is not None:
+            return found
+        n_p = np.arange(max(0, total - self.n_max), min(total, self.n_max) + 1)
+        # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
+        # are where the cap stops a+_p or a+_q, as in the dense matrix
+        hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
+        found = (n_p, *np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1)))
+        for array in found:
+            array.flags.writeable = False
+        self._eigensystems[total] = found
+        return found
 
 
 def build_space(modes, n_max: int) -> FockSpace:
@@ -103,7 +131,8 @@ def build_space(modes, n_max: int) -> FockSpace:
             f"needs {operator_bytes} bytes per dense complex128 operator, "
             f"over the budget of {OPERATOR_BYTES} bytes"
         )
-    occupations = np.array(list(itertools.product(range(d), repeat=len(modes))), dtype=np.int64)
+    # row i is the base-d digits of i, first mode most significant
+    occupations = np.indices((d,) * len(modes)).reshape(len(modes), -1).T
     return FockSpace(modes=modes, n_max=n_max, dim=dim, occupations=occupations)
 
 
@@ -158,27 +187,23 @@ def _pair_positions(space: FockSpace, mode_pair) -> tuple[int, int]:
     return space.mode_position(p), space.mode_position(q)
 
 
-def _sector_block(n_max: int, total: int, alpha: float) -> tuple:
+def _sector_block(space: FockSpace, total: int, alpha: float) -> tuple:
     """(total, n_p, block): the rotation's real block for pair number total.
 
-    Rows and columns follow n_p ascending, with n_q = total - n_p.
+    exp(alpha G) = U exp(-i alpha lam) U+ from the space's eigensystem of
+    the Hermitian i G; G is real, so the imaginary part is rounding and is
+    dropped.
     """
-    n_p = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-    # <n_p+1, total-n_p-1| a+_p a_q |n_p, total-n_p>; the sector's ends
-    # are where the cap stops a+_p or a+_q, as in the dense matrix
-    hop = np.sqrt((n_p[:-1] + 1.0) * (total - n_p[:-1]))
-    # exp(alpha G) = U exp(-i alpha lam) U+ for the Hermitian i G; G is
-    # real, so the imaginary part is rounding and is dropped
-    lam, u = np.linalg.eigh(np.diag(1j * hop, -1) - np.diag(1j * hop, 1))
+    n_p, lam, u = space._sector_eigensystem(total)
     return total, n_p, ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real
 
 
-def _sector_blocks(n_max: int, alpha: float):
+def _sector_blocks(space: FockSpace, alpha: float):
     """Iterator of `_sector_block` over pair numbers 0..2 n_max."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    return (_sector_block(n_max, total, alpha) for total in range(2 * n_max + 1))
+    return (_sector_block(space, total, alpha) for total in range(2 * space.n_max + 1))
 
 
 def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
@@ -196,7 +221,7 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
     as the same [[c, s], [-s, c]] matrix the analytic engine uses, which
     is what makes this module a cross-check of that engine.
     """
-    blocks = _sector_blocks(space.n_max, alpha)
+    blocks = _sector_blocks(space, alpha)
     pos_p, pos_q = _pair_positions(space, mode_pair)
     stride_p = (space.n_max + 1) ** (len(space.modes) - 1 - pos_p)
     stride_q = (space.n_max + 1) ** (len(space.modes) - 1 - pos_q)
@@ -208,6 +233,45 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
         index = bases[:, None] + n_p * stride_p + (total - n_p) * stride_q
         v[index[:, :, None], index[:, None, :]] = block
     return v
+
+
+def _shifted_diagonal(rows: int, cols: int, offset: int) -> tuple:
+    """The entries (j + offset, j) that lie inside a (rows, cols) matrix.
+
+    Returns slices of their rows, of their columns and of their positions
+    in the raveled matrix, each in order of j.
+    """
+    lo, hi = max(0, -offset), min(cols, rows - offset)
+    return (slice(lo + offset, hi + offset), slice(lo, hi),
+            slice((lo + offset) * cols + lo, (hi + offset) * cols + hi, cols + 1))
+
+
+def _sector_defects(prev, prev_n_p, block, n_p, total, c, s) -> list[float]:
+    """Squared Frobenius norms of V_{N-1}^T L V_N - (c L_p +- s L_q), L = L_p, L_q.
+
+    prev and block are the rotation's blocks of pair numbers N - 1 and N.
+    As a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q> and a_q |n_p, n_q> =
+    sqrt(n_q) |n_p, n_q-1>, column j of L_p (L_q) holds its one weight in
+    the row of sector N - 1 whose n_p is one less than (equal to) the
+    column's, and the weight is zero where that row is missing. So
+    prev^T L gathers scaled rows of prev, and the rotated pair is
+    subtracted in place along its diagonals: the dense
+    prev.T @ L @ block - (c L_p +- s L_q), to the bit, without the products.
+    """
+    rows, cols = len(prev_n_p), len(n_p)
+    shift = int(n_p[0] - prev_n_p[0])
+    (from_p, cols_p, at_p), w_p = _shifted_diagonal(rows, cols, shift - 1), np.sqrt(n_p)
+    (from_q, cols_q, at_q), w_q = _shifted_diagonal(rows, cols, shift), np.sqrt(total - n_p)
+    lifted = np.zeros((2, rows, cols))
+    np.multiply(prev[from_p].T, w_p[cols_p], out=lifted[0, :, cols_p])
+    np.multiply(prev[from_q].T, w_q[cols_q], out=lifted[1, :, cols_q])
+    defect = lifted @ block
+    flat = defect.reshape(2, -1)
+    flat[0, at_p] -= c * w_p[cols_p]
+    flat[0, at_q] -= s * w_q[cols_q]
+    flat[1, at_q] -= c * w_q[cols_q]
+    flat[1, at_p] -= -s * w_p[cols_p]
+    return np.sum(defect ** 2, axis=(1, 2)).tolist()
 
 
 def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = True) -> float:
@@ -227,18 +291,16 @@ def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = T
     for every occupation of the other modes, so each sector's squared
     norm counts once per such occupation; no dense matrix is formed.
     """
-    blocks = _sector_blocks(space.n_max, alpha)
+    blocks = _sector_blocks(space, alpha)
     _pair_positions(space, mode_pair)
     c, s = math.cos(alpha), math.sin(alpha)
     top = space.n_max if restrict else 2 * space.n_max + 1
     sum_p = sum_q = 0.0
     for (_, prev_n_p, prev), (total, n_p, block) in itertools.pairwise(
             itertools.islice(blocks, top)):
-        # a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q>, a_q |n_p, n_q> = sqrt(n_q) |n_p, n_q-1>
-        low_p = (prev_n_p[:, None] == n_p - 1) * np.sqrt(n_p)
-        low_q = (prev_n_p[:, None] == n_p) * np.sqrt(total - n_p)
-        sum_p += float(np.sum((prev.T @ low_p @ block - (c * low_p + s * low_q)) ** 2))
-        sum_q += float(np.sum((prev.T @ low_q @ block - (c * low_q - s * low_p)) ** 2))
+        defect_p, defect_q = _sector_defects(prev, prev_n_p, block, n_p, total, c, s)
+        sum_p += defect_p
+        sum_q += defect_q
     copies = space.dim // (space.n_max + 1) ** 2
     return math.sqrt(copies * max(sum_p, sum_q))
 
@@ -255,9 +317,10 @@ def commutator_preservation_check(space: FockSpace, mode_pair, alpha: float) -> 
     ops = [ladder(space, m, kind) for m in mode_pair for kind in _KINDS]
     conjugated = [vh @ x @ v for x in ops]
     worst = 0.0
-    for x, cx in zip(ops, conjugated):
-        for y, cy in zip(ops, conjugated):
-            lhs = commutator(cx, cy)
-            rhs = vh @ commutator(x, y) @ v
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    # both sides vanish exactly for X = Y, and swapping X and Y negates
+    # both exactly, so each unordered pair is taken once
+    for (x, cx), (y, cy) in itertools.combinations(zip(ops, conjugated), 2):
+        lhs = commutator(cx, cy)
+        rhs = vh @ commutator(x, y) @ v
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst

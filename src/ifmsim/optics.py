@@ -10,6 +10,7 @@ mirror (full exchange), pi/4 for a balanced beamsplitter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +20,9 @@ from .errors import ConfigurationError
 
 _UNIT_TOL = 1e-9
 _EYE3 = np.eye(3)
+_EPS = sys.float_info.epsilon
+# a squared length in this range leaves n.n far from overflow and underflow
+_SQUARED_RANGE = (2.0**-1000, 2.0**1000)
 
 
 def _as_vec3(value, what: str) -> np.ndarray:
@@ -44,11 +48,12 @@ class PhotonMode:
     def __post_init__(self):
         self.momentum = _as_vec3(self.momentum, "momentum")
         self.polarization = _as_vec3(self.polarization, "polarization")
-        if self.energy == 0.0:
+        energy = self.energy
+        if energy == 0.0:
             raise ValueError("momentum must be nonzero")
         if abs(math.sqrt(self.polarization.dot(self.polarization)) - 1.0) > _UNIT_TOL:
             raise ValueError("polarization must be a unit vector")
-        if abs(float(self.polarization @ self.momentum)) > _UNIT_TOL * self.energy:
+        if abs(float(self.polarization @ self.momentum)) > _UNIT_TOL * energy:
             raise ValueError("polarization must be transverse to the momentum")
 
     @property
@@ -86,12 +91,18 @@ def householder(normal) -> HouseholderReflection:
     reflection plane and is rejected.
     """
     n = _as_vec3(normal, "normal")
+    x, y, z = n.tolist()
+    if not _SQUARED_RANGE[0] <= x * x + y * y + z * z <= _SQUARED_RANGE[1]:
+        largest = max(abs(x), abs(y), abs(z))
+        if largest == 0.0:
+            raise ConfigurationError("degenerate normal: zero vector defines no plane")
+        # n.n would overflow or underflow: divide by the power of two of the
+        # largest component first, an exact scaling that n / |n| undoes
+        n = np.ldexp(n, -math.frexp(largest)[1])
     length = math.sqrt(n.dot(n))
-    if length == 0.0:
-        raise ConfigurationError("degenerate normal: zero vector defines no plane")
     # skip the division when already unit to rounding: renormalizing would
     # only churn last bits and make normalization non-idempotent
-    if abs(length - 1.0) > 4.0 * np.finfo(float).eps:
+    if abs(length - 1.0) > 4.0 * _EPS:
         n = n / length
     return HouseholderReflection(normal=n, matrix=_EYE3 - 2.0 * (n[:, None] * n))
 

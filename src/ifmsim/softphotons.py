@@ -85,6 +85,8 @@ class SoftWindow:
     def __post_init__(self):
         self.e_minus = float(self.e_minus)
         self.e_plus = float(self.e_plus)
+        if not math.isfinite(self.e_minus):
+            raise ValueError(f"window lower edge must be finite, got {self.e_minus}")
         if not self.e_minus > 0.0:
             raise DivergenceError(
                 f"window lower edge must be positive, got {self.e_minus}; "

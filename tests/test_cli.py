@@ -283,6 +283,14 @@ def test_soft_non_finite_inputs_blame_their_parameter(tmp_path, capsys):
     assert code == 1 and "error: leg charge must be finite, got nan" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_soft_e_squared_checked_at_the_boundary(capsys, value):
+    code, out, err = invoke(capsys, "soft", "--beta", "0.5", "--e-minus", "0.001",
+                            "--e-plus", "1.0", "--solid-angle", "1.0", "--e-squared", value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --e-squared must be finite and nonnegative, got ")
+
+
 def test_soft_process_group_is_exclusive_and_required(tmp_path, capsys):
     base = ["--e-minus", "0.001", "--e-plus", "1.0", "--solid-angle", "1.0"]
     code, _, _ = invoke(capsys, "soft", *base)

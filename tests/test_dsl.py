@@ -167,6 +167,21 @@ def test_non_unit_normal_warns_but_builds():
     assert propagate_analytic(doc.layout).p_d1 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_huge_normal_warns_and_builds():
+    # |n|^2 overflows a double here; the layout still gets the diagonal mirror
+    text = read_text("mzi.ifm").replace(
+        "mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
+        "mirror L12 normal 1e200 -1e200 0")
+    doc = parse_layout(text)
+    assert doc.layout is not None and doc.errors == []
+    assert [(d.line, d.column) for d in doc.warnings] == [(6, 19)]
+    assert "normal has length 1.41421e+200; normalized to unit" in doc.warnings[0].message
+    normal = doc.layout.elements["L12"].reflection.normal
+    np.testing.assert_allclose(normal, [1 / math.sqrt(2), -1 / math.sqrt(2), 0.0],
+                               atol=1e-15)
+    assert propagate_analytic(doc.layout).p_d1 == pytest.approx(1.0, abs=1e-12)
+
+
 def test_bomb_label_validation():
     text = read_text("mzi.ifm")
     doc = parse_layout(text + "bomb arm nowhere\n")

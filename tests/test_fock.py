@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 
 from ifmsim import (
     build_space,
+    verify,
     commutator,
     commutator_preservation_check,
     ladder,
@@ -28,6 +31,20 @@ def test_build_space_basics(two_mode_space):
     assert two_mode_space.index_of((6, 6)) == 48
     for idx in range(two_mode_space.dim):
         assert two_mode_space.index_of(two_mode_space.occupation_of(idx)) == idx
+
+
+@pytest.mark.parametrize("n_modes, n_max", [(1, 4), (2, 6), (3, 2), (4, 1)])
+def test_occupation_table_is_lexicographic(n_modes, n_max):
+    space = build_space([f"m{k}" for k in range(n_modes)], n_max)
+    expected = list(itertools.product(range(n_max + 1), repeat=n_modes))
+    assert space.occupations.dtype == np.int64
+    assert space.occupations.tolist() == [list(occ) for occ in expected]
+
+
+def test_space_is_frozen(two_mode_space):
+    # the sector eigensystems kept on a space are only valid for its n_max
+    with pytest.raises(AttributeError):
+        two_mode_space.n_max = 3
 
 
 def test_build_space_validation():
@@ -199,6 +216,67 @@ def test_rotation_check_memory_is_per_sector():
 @pytest.mark.parametrize("alpha", [math.pi / 7, math.pi / 4, math.pi / 2])
 def test_commutator_preservation(two_mode_space, alpha):
     assert commutator_preservation_check(two_mode_space, PAIR, alpha) < 1e-10
+
+
+@pytest.mark.parametrize("modes, pair", [(PAIR, PAIR), (("p", "r", "q"), ("q", "p"))])
+@pytest.mark.parametrize("alpha", [math.pi / 7, 0.9, -2.3])
+def test_commutator_preservation_equals_all_ordered_pairs(modes, pair, alpha):
+    # the check takes each unordered pair once; over all 16 ordered pairs
+    # the same maximum comes out, to the bit
+    space = build_space(modes, 3)
+    v = v_unitary(space, pair, alpha)
+    vh = v.conj().T
+    ops = [ladder(space, m, kind) for m in pair for kind in ("lowering", "raising")]
+    worst = 0.0
+    for x, y in itertools.product(ops, repeat=2):
+        lhs = commutator(vh @ x @ v, vh @ y @ v)
+        rhs = vh @ commutator(x, y) @ v
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    assert commutator_preservation_check(space, pair, alpha) == worst
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_verify_diagonalizes_each_sector_once(eigh_calls):
+    # one n_max 6 space: pair numbers 0..12, each diagonalized once
+    assert verify.run_verification(io.StringIO())
+    assert len(eigh_calls) == 2 * 6 + 1
+
+
+def test_restricted_rotation_check_diagonalizes_only_its_sectors(eigh_calls):
+    space = build_space(PAIR, 9)
+    rotation_check(space, PAIR, 0.4)
+    assert eigh_calls == list(range(1, 10))  # pair numbers 0..8 only
+    rotation_check(space, PAIR, 1.3)
+    rotation_check(space, PAIR, 1.3, restrict=False)
+    assert len(eigh_calls) == 2 * 9 + 1
+
+
+@pytest.mark.parametrize("modes, pair", [(PAIR, PAIR), (("p", "r", "q"), ("r", "q"))])
+def test_reused_space_matches_a_fresh_one(modes, pair):
+    # the eigensystems kept on a space give the same bits as diagonalizing anew
+    reused = build_space(modes, 4)
+    for alpha in (0.3, -1.7, math.pi / 4, 0.3):
+        fresh = build_space(modes, 4)
+        assert np.array_equal(v_unitary(reused, pair, alpha), v_unitary(fresh, pair, alpha))
+        fresh = build_space(modes, 4)
+        for restrict in (True, False):
+            assert (rotation_check(reused, pair, alpha, restrict)
+                    == rotation_check(fresh, pair, alpha, restrict))
+        fresh = build_space(modes, 4)
+        assert (commutator_preservation_check(reused, pair, alpha)
+                == commutator_preservation_check(fresh, pair, alpha))
 
 
 def test_group_law_and_inverse(two_mode_space):

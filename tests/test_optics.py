@@ -34,6 +34,27 @@ def test_householder_zero_normal_rejected():
         householder((0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1e200, 3e-200, 2.0**600, 2.0**-600])
+def test_householder_normal_whose_square_overflows_or_underflows(scale):
+    # n.n is inf or 0 in doubles; the reflection is still the diagonal mirror
+    reflection = householder((scale, -scale, 0.0))
+    diagonal = householder((1.0, -1.0, 0.0))
+    np.testing.assert_allclose(reflection.normal, diagonal.normal, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(reflection.matrix, diagonal.matrix, rtol=0, atol=1e-15)
+
+
+def test_householder_exact_power_of_two_scaling_keeps_the_bits():
+    # a normal in range and the same normal scaled far out of range by a
+    # power of two give the same reflection to the bit
+    rng = np.random.default_rng(8)
+    for normal in rng.normal(size=(50, 3)):
+        expected = householder(normal)
+        for power in (700, -700):
+            scaled = householder(np.ldexp(normal, power))
+            assert np.array_equal(scaled.normal, expected.normal)
+            assert np.array_equal(scaled.matrix, expected.matrix)
+
+
 def test_householder_normalizes_input():
     refl = householder((0.0, 0.0, -7.0))
     np.testing.assert_allclose(refl.normal, [0.0, 0.0, -1.0])

@@ -148,6 +148,14 @@ def test_window_validation():
     assert SoftWindow(2.0, 2.0).log_ratio == 0.0
 
 
+@pytest.mark.parametrize("e_minus", [math.nan, math.inf, -math.inf])
+def test_window_lower_edge_must_be_finite(e_minus):
+    # a lower edge that is not a number is refused as such, not as a divergence
+    with pytest.raises(ValueError, match="window lower edge must be finite") as info:
+        SoftWindow(e_minus, 1.0)
+    assert not isinstance(info.value, DivergenceError)
+
+
 def test_mean_photons_values():
     a = weinberg_factor_fermion(0.5)
     mu = mean_photons(a, SoftWindow(1e-3, 1.0))
