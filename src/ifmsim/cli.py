@@ -21,8 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import data_path
-from .dsl import parse_layout
-from .errors import ConfigurationError, DivergenceError
+from .dsl import _fmt, parse_layout
 from .interferometer import (
     ShotCounts,
     fringe_scan,
@@ -44,12 +43,6 @@ from .softphotons import (
     weinberg_factor_general,
 )
 from .verify import run_checks, run_verification
-
-_FLOAT_FMT = ".17g"
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), _FLOAT_FMT)
 
 
 def _json_dumps(value, indent: int = 0) -> str:
@@ -320,10 +313,7 @@ def run_cli(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConfigurationError, DivergenceError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -136,29 +136,23 @@ def build_space(modes, n_max: int) -> FockSpace:
     return FockSpace(modes=modes, n_max=n_max, dim=dim, occupations=occupations)
 
 
-def _single_mode_lowering(d: int) -> np.ndarray:
-    a = np.zeros((d, d), dtype=np.complex128)
-    for n in range(1, d):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
 def ladder(space: FockSpace, mode: str, kind: str) -> np.ndarray:
     """Dense lowering or raising operator for one mode of the space.
 
-    Built as kron(I, ..., a, ..., I) with the single-mode block at the
-    position matching the basis ordering.
+    Read from the occupation table: a_m maps each basis state with n > 0
+    quanta in mode m to the state one mode stride lower, with weight
+    sqrt(n); the raising operator swaps rows and columns.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     pos = space.mode_position(mode)
-    d = space.n_max + 1
-    a = _single_mode_lowering(d)
-    if kind == "raising":
-        a = a.conj().T
-    left = np.eye(d ** pos, dtype=np.complex128)
-    right = np.eye(d ** (len(space.modes) - pos - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, a), right)
+    n = space.occupations[:, pos]
+    occupied = np.flatnonzero(n)
+    lower = occupied - (space.n_max + 1) ** (len(space.modes) - 1 - pos)
+    rows, cols = (lower, occupied) if kind == "lowering" else (occupied, lower)
+    a = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    a[rows, cols] = np.sqrt(n[occupied])
+    return a
 
 
 def number_operator(space: FockSpace, mode: str | None = None) -> np.ndarray:
@@ -235,45 +229,6 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
     return v
 
 
-def _shifted_diagonal(rows: int, cols: int, offset: int) -> tuple:
-    """The entries (j + offset, j) that lie inside a (rows, cols) matrix.
-
-    Returns slices of their rows, of their columns and of their positions
-    in the raveled matrix, each in order of j.
-    """
-    lo, hi = max(0, -offset), min(cols, rows - offset)
-    return (slice(lo + offset, hi + offset), slice(lo, hi),
-            slice((lo + offset) * cols + lo, (hi + offset) * cols + hi, cols + 1))
-
-
-def _sector_defects(prev, prev_n_p, block, n_p, total, c, s) -> list[float]:
-    """Squared Frobenius norms of V_{N-1}^T L V_N - (c L_p +- s L_q), L = L_p, L_q.
-
-    prev and block are the rotation's blocks of pair numbers N - 1 and N.
-    As a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q> and a_q |n_p, n_q> =
-    sqrt(n_q) |n_p, n_q-1>, column j of L_p (L_q) holds its one weight in
-    the row of sector N - 1 whose n_p is one less than (equal to) the
-    column's, and the weight is zero where that row is missing. So
-    prev^T L gathers scaled rows of prev, and the rotated pair is
-    subtracted in place along its diagonals: the dense
-    prev.T @ L @ block - (c L_p +- s L_q), to the bit, without the products.
-    """
-    rows, cols = len(prev_n_p), len(n_p)
-    shift = int(n_p[0] - prev_n_p[0])
-    (from_p, cols_p, at_p), w_p = _shifted_diagonal(rows, cols, shift - 1), np.sqrt(n_p)
-    (from_q, cols_q, at_q), w_q = _shifted_diagonal(rows, cols, shift), np.sqrt(total - n_p)
-    lifted = np.zeros((2, rows, cols))
-    np.multiply(prev[from_p].T, w_p[cols_p], out=lifted[0, :, cols_p])
-    np.multiply(prev[from_q].T, w_q[cols_q], out=lifted[1, :, cols_q])
-    defect = lifted @ block
-    flat = defect.reshape(2, -1)
-    flat[0, at_p] -= c * w_p[cols_p]
-    flat[0, at_q] -= s * w_q[cols_q]
-    flat[1, at_q] -= c * w_q[cols_q]
-    flat[1, at_p] -= -s * w_p[cols_p]
-    return np.sum(defect ** 2, axis=(1, 2)).tolist()
-
-
 def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = True) -> float:
     """Residual of the conjugation rule V+ a V = rotated ladder pair.
 
@@ -298,9 +253,11 @@ def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = T
     sum_p = sum_q = 0.0
     for (_, prev_n_p, prev), (total, n_p, block) in itertools.pairwise(
             itertools.islice(blocks, top)):
-        defect_p, defect_q = _sector_defects(prev, prev_n_p, block, n_p, total, c, s)
-        sum_p += defect_p
-        sum_q += defect_q
+        # a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q>, a_q |n_p, n_q> = sqrt(n_q) |n_p, n_q-1>
+        low_p = (prev_n_p[:, None] == n_p - 1) * np.sqrt(n_p)
+        low_q = (prev_n_p[:, None] == n_p) * np.sqrt(total - n_p)
+        sum_p += float(np.sum((prev.T @ low_p @ block - (c * low_p + s * low_q)) ** 2))
+        sum_q += float(np.sum((prev.T @ low_q @ block - (c * low_q - s * low_p)) ** 2))
     copies = space.dim // (space.n_max + 1) ** 2
     return math.sqrt(copies * max(sum_p, sum_q))
 

@@ -89,10 +89,7 @@ def fock_checks(n_max: int = 6) -> list[CheckResult]:
     # [a, a+] is the identity except a single -n_max entry at the top state
     a = fock.ladder(space, "p", "lowering")
     comm = fock.commutator(a, a.conj().T)
-    expected = np.eye(space.dim, dtype=np.complex128)
-    for idx in range(space.dim):
-        if space.occupations[idx, 0] == n_max:
-            expected[idx, idx] = -n_max
+    expected = np.diag(np.where(space.occupations[:, 0] == n_max, -n_max, 1.0))
     worst = float(np.max(np.abs(comm - expected)))
     results.append(CheckResult("ladder truncation signature", worst, 1e-12))
 

@@ -81,6 +81,20 @@ def test_ladder_matrix_elements(two_mode_space):
     np.testing.assert_array_equal(raising, a.conj().T)
 
 
+@pytest.mark.parametrize("n_modes, n_max", [(1, 5), (2, 4), (3, 3)])
+def test_ladder_equals_kron_build(n_modes, n_max):
+    # independent reference: the single-mode matrix kron'd between identities
+    d = n_max + 1
+    low = np.diag(np.sqrt(np.arange(1, d)), 1).astype(np.complex128)
+    space = build_space([f"m{k}" for k in range(n_modes)], n_max)
+    for pos, mode in enumerate(space.modes):
+        left, right = np.eye(d ** pos), np.eye(d ** (n_modes - pos - 1))
+        for kind, single in (("lowering", low), ("raising", low.T)):
+            built = ladder(space, mode, kind)
+            assert built.dtype == np.complex128 and built.flags.c_contiguous
+            assert np.array_equal(built, np.kron(np.kron(left, single), right))
+
+
 def test_ladder_validation(two_mode_space):
     with pytest.raises(KeyError, match="unknown mode"):
         ladder(two_mode_space, "nope", "lowering")
