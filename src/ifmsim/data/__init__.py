@@ -3,7 +3,6 @@
 from importlib import resources
 
 BUNDLED_LAYOUTS = ("mzi.ifm", "mzi_bomb.ifm")
-BUNDLED_SCHEMAS = ("report.schema.json", "counts.schema.json", "soft.schema.json")
 
 
 def data_path(name: str):

@@ -15,7 +15,9 @@ A line must match its usage with or without the bracketed tail: a tail
 is given whole or not at all. Each directive builds its library object
 (`householder` and `OpticalElement`, `Arm`, `PhotonMode`, `Obstruction`)
 as it is read, so the value rules are the library's own and a refused
-value is reported at its token.
+value is reported at its token. The square's structural rules are
+`Layout`'s: once every line is read, the parser runs them on what it
+built and reports each fault at the directive it names.
 
 Parsing never raises on bad input; problems come back as positioned
 diagnostics (1-based line and column). Only error-severity diagnostics
@@ -37,15 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (
-    ARM_PAIRS,
-    INPUT_ARM_PAIRS,
-    VERTEX_IDS,
-    Arm,
-    Layout,
-    Obstruction,
-    _EXPECTED_KINDS,
-)
+from .interferometer import VERTEX_IDS, Arm, Layout, Obstruction, _structure_faults
 from .optics import _UNIT_TOL, OpticalElement, PhotonMode, householder
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -93,7 +87,6 @@ class _ParseState:
         self.vertices: dict[str, tuple[list[_Token], np.ndarray]] = {}
         self.elements: dict[str, tuple[list[_Token], OpticalElement]] = {}
         self.arms: dict[tuple[str, str], tuple[list[_Token], Arm]] = {}
-        self.arm_labels: dict[str, tuple[str, str]] = {}
         self.source: tuple[list[_Token], PhotonMode, float] | None = None
         self.bomb: tuple[list[_Token], Obstruction] | None = None
         self.detectors: dict[str, tuple[list[_Token], str]] = {}
@@ -178,19 +171,14 @@ def _parse_arm(state: _ParseState, toks: list[_Token]):
     if length is None:
         return
     labelled = len(toks) == 7
-    label_tok = toks[6] if labelled else toks[0]
-    label = label_tok.text if labelled else f"{pair[0]}_{pair[1]}"
+    label = toks[6].text if labelled else f"{pair[0]}_{pair[1]}"
     arm = state.build(toks[4], Arm, *pair, length, label)
     if arm is None or (labelled and not state.keyword(toks[5], "label")):
         return
     if pair in state.arms:
         state.duplicate(toks[0], f"arm {pair[0]}->{pair[1]}", state.arms[pair])
         return
-    if label in state.arm_labels:
-        state.error(label_tok, f"arm label {label!r} already used")
-        return
     state.arms[pair] = (toks, arm)
-    state.arm_labels[label] = pair
 
 
 def _parse_source(state: _ParseState, toks: list[_Token]):
@@ -250,14 +238,10 @@ def _parse_detector(state: _ParseState, toks: list[_Token]):
         return
     if not state.keyword(toks[2], "port"):
         return
-    port = toks[3]
-    if port.text not in ("a", "b"):
-        state.error(port, f"detector port must be a or b, got {port.text!r}")
-        return
     if name.text in state.detectors:
         state.duplicate(name, f"detector {name.text}", state.detectors[name.text])
         return
-    state.detectors[name.text] = (toks, port.text)
+    state.detectors[name.text] = (toks, toks[3].text)
 
 
 # The grammar: directive name -> (usage, accepted token counts, handler). A
@@ -278,82 +262,56 @@ _DIRECTIVES = {
 }
 
 
-def _resolve(state: _ParseState, end_tok: _Token):
-    """Cross-directive checks once every line has been scanned."""
-    for vid in VERTEX_IDS:
-        if vid not in state.vertices:
-            state.error(end_tok, f"missing vertex {vid}")
+def _resolve(state: _ParseState, end_tok: _Token) -> dict:
+    """Cross-directive checks once every line has been scanned.
+
+    Returns the layout's pieces as `Layout` keyword arguments, with the
+    detector defaults filled in. The square's structural rules are
+    `Layout`'s own; each fault they find is reported at its directive,
+    or at end_tok when a piece is missing.
+    """
     for vid, (toks, _) in state.vertices.items():
         if vid not in VERTEX_IDS:
             state.warning(toks[1], f"vertex {vid!r} is outside the square topology; ignored")
-
-    for vid, expected in _EXPECTED_KINDS.items():
-        if vid not in state.elements:
-            state.error(end_tok, f"missing {expected.value} at vertex {vid}")
-            continue
-        toks, element = state.elements[vid]
-        if element.kind is not expected:
-            state.error(toks[1],
-                        f"vertex {vid} needs a {expected.value}, found a {element.kind.value}")
-    for vid, (toks, _) in state.elements.items():
-        if vid not in VERTEX_IDS:
-            state.error(toks[1],
-                        f"unexpected element at vertex {vid!r}; the square uses "
-                        f"{', '.join(VERTEX_IDS)}")
-
-    for pair in ARM_PAIRS:
-        if pair not in state.arms:
-            state.error(end_tok, f"missing arm {pair[0]}->{pair[1]}")
-    for pair, (toks, _) in state.arms.items():
-        for tok in toks[1:3]:
-            if tok.text not in state.vertices:
-                state.error(tok, f"unknown vertex {tok.text!r}")
-        if pair not in ARM_PAIRS:
-            state.error(toks[0],
-                        f"arm {pair[0]}->{pair[1]} is not part of the square topology")
-
     if state.source is None:
         state.error(end_tok, "missing source directive")
 
-    if state.bomb is not None:
-        label_tok = state.bomb[0][2]
-        pair = state.arm_labels.get(label_tok.text)
-        if pair is None:
-            state.error(label_tok, f"unknown arm label {label_tok.text!r}")
-        elif pair not in INPUT_ARM_PAIRS:
-            valid = sorted(state.arms[p][1].label for p in INPUT_ARM_PAIRS
-                           if p in state.arms)
-            state.error(label_tok,
-                        f"bomb arm {label_tok.text!r} is not an input-side arm; "
-                        f"valid labels: {valid}")
+    ports = {name: port for name, (_, port) in state.detectors.items()}
+    if len(ports) == 1:
+        (name, port), = ports.items()
+        ports["D2" if name == "D1" else "D1"] = "b" if port == "a" else "a"
+    pieces = dict(vertices=_objects(state.vertices), elements=_objects(state.elements),
+                  arms=_objects(state.arms),
+                  obstruction=state.bomb[1] if state.bomb else None,
+                  detectors=ports or {"D1": "a", "D2": "b"})
+    for message, at in _structure_faults(**pieces):
+        state.error(_fault_token(state, at, end_tok), message)
+    return pieces
 
-    ports = {"D1": "a", "D2": "b"}
-    taken: dict[str, str] = {}
-    for name in sorted(state.detectors):
-        toks, port = state.detectors[name]
-        if port in taken.values():
-            state.error(toks[3], f"port {port!r} already assigned to another detector")
-        else:
-            taken[name] = port
-    for name, port in taken.items():
-        ports[name] = port
-    if len(taken) == 1:
-        (name, port), = taken.items()
-        other = "D2" if name == "D1" else "D1"
-        ports[other] = "b" if port == "a" else "a"
-    return ports
+
+# ConfigurationError position kind -> (parse-state records, token index)
+_FAULT_TOKENS = {
+    "vertex": ("vertices", 1),
+    "element": ("elements", 3),
+    "element vertex": ("elements", 1),
+    "arm": ("arms", 0),
+    "arm label": ("arms", 6),
+    "bomb": ("bomb", 2),
+    "detector": ("detectors", 3),
+    "source": ("source", 2),
+}
 
 
 def _fault_token(state: _ParseState, at, default: _Token) -> _Token:
-    """Token of the directive a layout's geometry error names, else default."""
+    """Token of the directive a layout error names, else default."""
     if at is None:
         return default
-    kind, vid = at
-    if kind == "vertex":
-        return state.vertices[vid][0][1]
-    if kind == "element":
-        return state.elements[vid][0][3]
-    return state.source[0][2]
+    kind, key = at
+    records, index = _FAULT_TOKENS[kind]
+    record = getattr(state, records)
+    toks = (record if key is None else record[key])[0]
+    # an unlabeled arm's label comes from its directive as a whole
+    return toks[index] if index < len(toks) else toks[0]
 
 
 def _objects(records: dict) -> dict:
@@ -382,17 +340,13 @@ def parse_layout(text: str) -> LayoutDocument:
         handler(state, toks)
 
     end_tok = _Token("", max(1, len(lines)), 1)
-    ports = _resolve(state, end_tok)
+    pieces = _resolve(state, end_tok)
 
     layout = None
     if not any(d.severity == "error" for d in state.diagnostics):
         _, source, width = state.source
         try:
-            layout = Layout(vertices=_objects(state.vertices),
-                            elements=_objects(state.elements), arms=_objects(state.arms),
-                            source=source, source_width=width,
-                            obstruction=state.bomb[1] if state.bomb else None,
-                            detectors=ports)
+            layout = Layout(source=source, source_width=width, **pieces)
         except ValueError as exc:
             state.error(_fault_token(state, getattr(exc, "at", None), end_tok), str(exc))
     return LayoutDocument(source=text, layout=layout, diagnostics=state.diagnostics)

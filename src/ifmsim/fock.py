@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import integer
+
 # memory budget for one dense dim x dim complex128 operator
 OPERATOR_BYTES = 2**27
 
@@ -72,7 +74,7 @@ class FockSpace:
 
     def index_of(self, occupation) -> int:
         """Basis index of an occupation tuple (inverse of `occupation_of`)."""
-        occ = tuple(int(n) for n in occupation)
+        occ = tuple(integer(n, "occupation") for n in occupation)
         if len(occ) != len(self.modes):
             raise ValueError(f"occupation must list {len(self.modes)} entries, got {len(occ)}")
         d = self.n_max + 1
@@ -110,16 +112,17 @@ class FockSpace:
 def build_space(modes, n_max: int) -> FockSpace:
     """Construct a truncated space for the given mode ids.
 
-    Rejects duplicate mode ids, n_max < 1, and any request whose basis
-    dimension dim = (n_max+1)^len(modes) makes one dense complex128
-    operator, dim^2 * 16 bytes, larger than OPERATOR_BYTES.
+    Rejects duplicate mode ids, a non-integer n_max or one below 1, and
+    any request whose basis dimension dim = (n_max+1)^len(modes) makes
+    one dense complex128 operator, dim^2 * 16 bytes, larger than
+    OPERATOR_BYTES.
     """
     modes = tuple(str(m) for m in modes)
     if len(modes) == 0:
         raise ValueError("at least one mode id is required")
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate mode ids in {list(modes)}")
-    n_max = int(n_max)
+    n_max = integer(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     d = n_max + 1

@@ -48,7 +48,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer
 from .optics import (
     ElementKind,
     GaussianPacket,
@@ -132,6 +132,64 @@ class DetectionReport:
     event: InteractionEvent | None = None
 
 
+def _structure_faults(vertices, elements, arms, obstruction, detectors):
+    """Yield (message, at) for every way the pieces fail to form the square.
+
+    The faults come in a fixed order: missing vertices, missing or
+    wrong-kind elements, elements off the square, missing arms, arms off
+    the square, repeated arm labels, the obstruction's arm, and the
+    detectors. `at` is the `ConfigurationError` position of the piece at
+    fault, or None. `Layout` raises the first fault; the layout parser
+    reports them all, each at its directive.
+    """
+    for vid in VERTEX_IDS:
+        if vid not in vertices:
+            yield f"missing vertex {vid}", None
+    for vid, kind in _EXPECTED_KINDS.items():
+        element = elements.get(vid)
+        if element is None:
+            yield f"missing {kind.value} at vertex {vid}", None
+        elif element.kind is not kind:
+            yield (f"vertex {vid} needs a {kind.value}, found a {element.kind.value}",
+                   ("element vertex", vid))
+    for vid in elements:
+        if vid not in _EXPECTED_KINDS:
+            yield (f"unexpected element at vertex {vid!r}; the square uses "
+                   f"{', '.join(VERTEX_IDS)}", ("element vertex", vid))
+    for pair in ARM_PAIRS:
+        if pair not in arms:
+            yield f"missing arm {pair[0]}->{pair[1]}", None
+    for pair in arms:
+        if pair not in ARM_PAIRS:
+            yield f"arm {pair[0]}->{pair[1]} is not part of the square topology", ("arm", pair)
+    owners = {}
+    for pair, arm in arms.items():
+        first = owners.setdefault(arm.label, pair)
+        if first != pair:
+            yield (f"arm label {arm.label!r} already used by arm {first[0]}->{first[1]}; "
+                   "arm labels must be unique", ("arm label", pair))
+    if obstruction is not None:
+        valid = sorted(arms[pair].label for pair in INPUT_ARM_PAIRS if pair in arms)
+        if obstruction.arm not in owners:
+            yield (f"unknown arm label {obstruction.arm!r}; valid labels: {valid}",
+                   ("bomb", None))
+        elif obstruction.arm not in valid:
+            yield (f"bomb arm {obstruction.arm!r} is not an input-side arm; "
+                   f"valid labels: {valid}", ("bomb", None))
+    if set(detectors) != {"D1", "D2"}:
+        yield f"detectors must map exactly D1 and D2, got {sorted(detectors)}", None
+        return
+    taken = {}
+    for name in ("D1", "D2"):
+        port = detectors[name]
+        if port not in ("a", "b"):
+            yield f"detector port must be a or b, got {port!r}", ("detector", name)
+        elif port in taken:
+            yield (f"port {port!r} already assigned to {taken[port]}; detectors must "
+                   "cover ports a and b once each", ("detector", name))
+        taken[port] = name
+
+
 # what a layout's geometry fixes: the t and r vertices, their branch packets,
 # the port matrices (merge rows and exit momenta in detector order) and |p|
 _Geometry = namedtuple("_Geometry", "routing packets split mirror merge momenta p_mag")
@@ -164,56 +222,25 @@ class Layout:
         for name, value in (("vertices", vertices), ("elements", self.elements),
                             ("arms", self.arms), ("detectors", self.detectors)):
             object.__setattr__(self, name, MappingProxyType(dict(value)))
+        for message, at in _structure_faults(self.vertices, self.elements, self.arms,
+                                             self.obstruction, self.detectors):
+            raise ConfigurationError(message, at=at)  # the first fault
         for vid in VERTEX_IDS:
-            if vid not in self.vertices:
-                raise ConfigurationError(f"layout is missing vertex {vid}")
             position = self.vertices[vid]
             if position.shape != (3,) or not all(map(math.isfinite, position.tolist())):
                 raise ConfigurationError(f"vertex {vid} position must be a finite 3-vector, "
                                          f"got {position}", at=("vertex", vid))
-        for vid, kind in _EXPECTED_KINDS.items():
-            element = self.elements.get(vid)
-            if element is None:
-                raise ConfigurationError(f"layout is missing the {kind.value} at {vid}")
-            if element.kind is not kind:
-                raise ConfigurationError(
-                    f"vertex {vid} needs a {kind.value}, found a {element.kind.value}"
-                )
+        for vid, element in self.elements.items():
             if element.vertex != vid:
                 raise ConfigurationError(
                     f"element stored under {vid} claims vertex {element.vertex}"
                 )
-        for pair in ARM_PAIRS:
-            if pair not in self.arms:
-                raise ConfigurationError(f"layout is missing arm {pair[0]}->{pair[1]}")
-        labels = [arm.label for arm in self.arms.values()]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"arm labels must be unique, got {sorted(labels)}")
         object.__setattr__(self, "source_width", float(self.source_width))
         if not self.source_width > 0.0:
             raise ConfigurationError(
                 f"source packet width must be positive, got {self.source_width}"
             )
-        if self.obstruction is not None:
-            allowed = self.input_arm_labels()
-            if self.obstruction.arm not in allowed:
-                raise ConfigurationError(
-                    f"obstruction arm {self.obstruction.arm!r} is not one of the "
-                    f"input-side arms {sorted(allowed)}"
-                )
-        if set(self.detectors) != {"D1", "D2"}:
-            raise ConfigurationError(
-                f"detectors must map exactly D1 and D2, got {sorted(self.detectors)}"
-            )
-        ports = [self.detectors["D1"], self.detectors["D2"]]
-        if sorted(ports) != ["a", "b"]:
-            raise ConfigurationError(
-                f"detectors must cover ports a and b once each, got {ports}"
-            )
         object.__setattr__(self, "_geometry", _resolve_geometry(self))
-
-    def input_arm_labels(self) -> tuple[str, ...]:
-        return tuple(self.arms[pair].label for pair in INPUT_ARM_PAIRS if pair in self.arms)
 
     def __eq__(self, other):
         if not isinstance(other, Layout):
@@ -422,7 +449,7 @@ def fringe_scan(layout: Layout, mismatch_range, steps: int,
         raise ConfigurationError(
             "fringe scan needs an unobstructed interferometer; remove the absorber first"
         )
-    steps = int(steps)
+    steps = integer(steps, "steps")
     if steps < 2:
         raise ValueError(f"a fringe scan needs at least 2 steps, got {steps}")
     lo, hi = (float(x) for x in mismatch_range)
@@ -441,16 +468,16 @@ def _sample_batches(layout: Layout, n_shots: int, seed: int, batch_size: int,
     whatever the batch size; a batch that spans windows collects its
     counts from each of them.
     """
-    n_shots = int(n_shots)
+    n_shots = integer(n_shots, "shot count")
     if n_shots < 1:
         raise ValueError(f"shot count must be positive, got {n_shots}")
-    batch_size = int(batch_size)
+    batch_size = integer(batch_size, "batch size")
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    chunk_size = int(chunk_size)
+    chunk_size = integer(chunk_size, "chunk size")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
-    seed = int(seed)
+    seed = integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit key in [0, 2**64), got {seed}")
     report = propagate_analytic(layout)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, integer
 from .interferometer import DetectionReport
 
 # e^2 = 4 pi alpha in Heaviside-Lorentz units, alpha = 1/137.035999
@@ -58,6 +58,7 @@ class ProcessLeg:
         self.charge = float(self.charge)
         if not math.isfinite(self.charge):
             raise ValueError(f"leg charge must be finite, got {self.charge}")
+        self.eta = integer(self.eta, "eta")
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 (outgoing) or -1 (incoming), got {self.eta}")
         self.velocity = float(self.velocity)

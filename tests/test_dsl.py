@@ -6,7 +6,10 @@ import pytest
 
 from ifmsim import (
     Arm,
+    ConfigurationError,
+    ElementKind,
     Obstruction,
+    OpticalElement,
     PhotonMode,
     householder,
     parse_layout,
@@ -312,3 +315,43 @@ def test_value_rules_are_the_library_constructors(old, new, position, call):
     first = doc.errors[0]
     assert ((first.line, first.column), first.message) == (
         position, _constructor_message(*call))
+
+
+def _wrong_kind(square):
+    splitter = square.elements["L11"]
+    mirror = OpticalElement(ElementKind.MIRROR, splitter.reflection, "L11")
+    return {"elements": {**square.elements, "L11": mirror}}
+
+
+def _extra_element(square):
+    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)), "X9")
+    return {"elements": {**square.elements, "X9": extra}}
+
+
+STRUCTURE_RULES = [
+    # (replaced text, replacement, position the parser reports, the same change
+    # made to the layout's pieces)
+    ("beamsplitter L11", "mirror L11", (5, 8), _wrong_kind),
+    (None, "bomb arm nowhere", (16, 10), lambda sq: {"obstruction": Obstruction("nowhere")}),
+    (None, "bomb arm lower_exit", (16, 10),
+     lambda sq: {"obstruction": Obstruction("lower_exit")}),
+    ("detector D2 port b", "detector D2 port a", (15, 18),
+     lambda sq: {"detectors": {"D1": "a", "D2": "a"}}),
+    (None, "arm L12 L21 length 1 label diagonal", (16, 1),
+     lambda sq: {"arms": {**sq.arms, ("L12", "L21"): Arm("L12", "L21", 1.0, "diagonal")}}),
+    (None, "mirror X9 normal 1 0 0", (16, 8), _extra_element),
+]
+
+
+@pytest.mark.parametrize("old, new, position, change", STRUCTURE_RULES,
+                         ids=["wrong-kind", "unknown-bomb-label", "bomb-off-input-side",
+                              "port-conflict", "arm-off-square", "element-off-square"])
+def test_structure_rules_are_the_layouts(square, old, new, position, change):
+    text = read_text("mzi.ifm")
+    text = text + new + "\n" if old is None else text.replace(old, new)
+    doc = parse_layout(text)
+    with pytest.raises(ConfigurationError) as info:
+        replace(square, **change(square))
+    assert doc.layout is None
+    assert [((d.line, d.column), d.message) for d in doc.errors] == [
+        (position, str(info.value))]

@@ -56,6 +56,26 @@ def test_build_space_validation():
         build_space((), 3)
 
 
+@pytest.mark.parametrize("n_max", [2.7, 2.0, True, np.float64(3.0)])
+def test_build_space_refuses_non_integer_n_max(n_max):
+    # truncation would build n_max 2 from 2.7, and n_max 1 from True
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        build_space(PAIR, n_max)
+
+
+def test_index_of_refuses_non_integer_occupations(two_mode_space):
+    # truncation would map (0.5, 1.9) to the index of (0, 1)
+    with pytest.raises(ValueError, match="occupation must be an integer"):
+        two_mode_space.index_of((0.5, 1.9))
+    assert two_mode_space.index_of(np.array([3, 2])) == two_mode_space.index_of((3, 2))
+
+
+def test_build_space_accepts_numpy_integers():
+    space = build_space(PAIR, np.int32(3))
+    assert space.n_max == 3 and type(space.n_max) is int
+    assert space.dim == build_space(PAIR, 3).dim
+
+
 def test_dimension_cap_names_the_product():
     with pytest.raises(ValueError) as err:
         build_space(("a", "b", "c"), 99)

@@ -198,6 +198,17 @@ def test_fringe_scan_cosine_law(square):
     assert rows[0][1] == propagate_analytic(square).p_d1
 
 
+@pytest.mark.parametrize("steps", [10.9, 10.0, True])
+def test_fringe_scan_refuses_non_integer_steps(square, steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        fringe_scan(square, (0.0, 1.0), steps)
+
+
+def test_fringe_scan_accepts_numpy_integer_steps(square):
+    np.testing.assert_array_equal(fringe_scan(square, (0.0, 1.0), np.int64(10)),
+                                  fringe_scan(square, (0.0, 1.0), 10))
+
+
 def test_fringe_scan_validation(square, bomb_layout):
     with pytest.raises(ConfigurationError, match="unobstructed"):
         fringe_scan(bomb_layout, (0.0, 1.0), 5)
@@ -317,6 +328,17 @@ def test_layout_validation_errors(square):
                detectors={"D1": "a", "D2": "a"})
 
 
+def test_layout_refuses_pieces_off_the_square(square):
+    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)), "X9")
+    with pytest.raises(ConfigurationError, match="unexpected element at vertex 'X9'") as err:
+        replace(square, elements={**square.elements, "X9": extra})
+    assert err.value.at == ("element vertex", "X9")
+    diagonal = Arm("L12", "L21", 1.0, "diagonal")
+    with pytest.raises(ConfigurationError, match="L12->L21 is not part of the square") as err:
+        replace(square, arms={**square.arms, ("L12", "L21"): diagonal})
+    assert err.value.at == ("arm", ("L12", "L21"))
+
+
 def test_arm_length_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive length"):
         Arm("L11", "L12", 0.0, "lower")
@@ -367,6 +389,28 @@ def test_shots_refuse_seed_outside_64_bits(square, seed):
         shot_batches(square, 10, seed, batch_size=4)
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         run_shots(square, 10, seed)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda layout: run_shots(layout, 1000, 5.5), "seed"),
+    (lambda layout: run_shots(layout, 1000, True), "seed"),
+    (lambda layout: run_shots(layout, 1000.9, 5), "shot count"),
+    (lambda layout: run_shots(layout, 1000, 5, chunk_size=256.0), "chunk size"),
+    (lambda layout: shot_batches(layout, 1000, 5, 16.5), "batch size"),
+    (lambda layout: shot_batches(layout, np.float64(1000.0), 5, 16), "shot count"),
+], ids=["float-seed", "bool-seed", "float-count", "float-chunk", "float-batch",
+        "numpy-float-count"])
+def test_shots_refuse_non_integer_arguments(bomb_layout, call, name):
+    # truncation would alias them: seed 5.5 would draw seed 5's tallies
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(bomb_layout)
+
+
+def test_shots_accept_numpy_integers(bomb_layout):
+    counts = run_shots(bomb_layout, np.int64(1000), np.uint64(5), chunk_size=np.int32(256))
+    assert counts == run_shots(bomb_layout, 1000, 5)
+    rows = shot_batches(bomb_layout, np.int16(1000), np.int64(5), np.uint8(16))
+    assert rows == shot_batches(bomb_layout, 1000, 5, 16)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -135,6 +135,18 @@ def test_process_leg_validation():
         ProcessLeg(1.0, 1, 1.0)
 
 
+@pytest.mark.parametrize("eta", [True, False, 1.0, -1.0, np.bool_(True)])
+def test_process_leg_refuses_non_integer_eta(eta):
+    # `True in (-1, 1)` holds, so without the check a bool would pass as +1
+    with pytest.raises(ValueError, match="eta must be an integer"):
+        ProcessLeg(1.0, eta, 0.5)
+
+
+def test_process_leg_accepts_numpy_integer_eta():
+    leg = ProcessLeg(1.0, np.int64(-1), 0.5)
+    assert leg.eta == -1 and type(leg.eta) is int
+
+
 def test_window_validation():
     with pytest.raises(DivergenceError, match="diverges"):
         SoftWindow(0.0, 1.0)
