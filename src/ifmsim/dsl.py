@@ -17,7 +17,9 @@ is given whole or not at all. Each directive builds its library object
 as it is read, so the value rules are the library's own and a refused
 value is reported at its token. The square's structural rules are
 `Layout`'s: once every line is read, the parser runs them on what it
-built and reports each fault at the directive it names.
+built and reports each fault at the directive it names. A piece whose
+directive was refused is not also reported missing, and a vertex off
+the square is dropped with a warning.
 
 Parsing never raises on bad input; problems come back as positioned
 diagnostics (1-based line and column). Only error-severity diagnostics
@@ -90,6 +92,9 @@ class _ParseState:
         self.source: tuple[list[_Token], PhotonMode, float] | None = None
         self.bomb: tuple[list[_Token], Obstruction] | None = None
         self.detectors: dict[str, tuple[list[_Token], str]] = {}
+        # the `ConfigurationError.at` of each piece a directive was given for;
+        # one given but never recorded was refused, and its error is reported
+        self.given: set = set()
 
     def error(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(tok.line, tok.column, "error", message))
@@ -134,6 +139,7 @@ class _ParseState:
 
 def _parse_vertex(state: _ParseState, toks: list[_Token]):
     ident = toks[1]
+    state.given.add(("vertex", ident.text))
     if ident.text in state.vertices:
         state.duplicate(ident, f"vertex {ident.text!r}", state.vertices[ident.text])
         return
@@ -144,6 +150,7 @@ def _parse_vertex(state: _ParseState, toks: list[_Token]):
 
 def _parse_element(state: _ParseState, toks: list[_Token]):
     vertex = toks[1]
+    state.given.add(("element", vertex.text))
     if not state.keyword(toks[2], "normal"):
         return
     normal = state.vector(toks[3:6], "normal")
@@ -165,6 +172,7 @@ def _parse_element(state: _ParseState, toks: list[_Token]):
 
 def _parse_arm(state: _ParseState, toks: list[_Token]):
     pair = (toks[1].text, toks[2].text)
+    state.given.add(("arm", pair))
     if not state.keyword(toks[3], "length"):
         return
     length = state.number(toks[4], "arm length")
@@ -182,6 +190,7 @@ def _parse_arm(state: _ParseState, toks: list[_Token]):
 
 
 def _parse_source(state: _ParseState, toks: list[_Token]):
+    state.given.add(("source", None))
     if state.source is not None:
         state.duplicate(toks[0], "source", state.source)
         return
@@ -205,12 +214,8 @@ def _parse_source(state: _ParseState, toks: list[_Token]):
         state.warning(toks[6], f"polarization has length {pol_len:.6g}; normalized to unit")
         polarization = polarization / pol_len
     mode = state.build(toks[2], PhotonMode, momentum, polarization)
-    if mode is None:
-        return
-    if not width > 0.0:
-        state.error(toks[10], f"packet width must be positive, got {toks[10].text}")
-        return
-    state.source = (toks, mode, width)
+    if mode is not None:
+        state.source = (toks, mode, width)
 
 
 def _parse_bomb(state: _ParseState, toks: list[_Token]):
@@ -265,27 +270,29 @@ _DIRECTIVES = {
 def _resolve(state: _ParseState, end_tok: _Token) -> dict:
     """Cross-directive checks once every line has been scanned.
 
-    Returns the layout's pieces as `Layout` keyword arguments, with the
-    detector defaults filled in. The square's structural rules are
-    `Layout`'s own; each fault they find is reported at its directive,
-    or at end_tok when a piece is missing.
+    Returns the layout's pieces as `Layout` keyword arguments, with
+    vertices off the square dropped and the detector defaults filled in.
+    The square's structural rules are `Layout`'s own; each fault they
+    find is reported at its directive, or at end_tok when a piece is
+    missing. A piece whose directive was refused is not reported missing.
     """
-    for vid, (toks, _) in state.vertices.items():
-        if vid not in VERTEX_IDS:
-            state.warning(toks[1], f"vertex {vid!r} is outside the square topology; ignored")
-    if state.source is None:
-        state.error(end_tok, "missing source directive")
+    for vid in [vid for vid in state.vertices if vid not in VERTEX_IDS]:
+        toks, _ = state.vertices.pop(vid)
+        state.warning(toks[1], f"vertex {vid!r} is outside the square topology; ignored")
 
     ports = {name: port for name, (_, port) in state.detectors.items()}
     if len(ports) == 1:
         (name, port), = ports.items()
         ports["D2" if name == "D1" else "D1"] = "b" if port == "a" else "a"
+    _, source, width = state.source or (None, None, None)
     pieces = dict(vertices=_objects(state.vertices), elements=_objects(state.elements),
-                  arms=_objects(state.arms),
+                  arms=_objects(state.arms), source=source, source_width=width,
                   obstruction=state.bomb[1] if state.bomb else None,
                   detectors=ports or {"D1": "a", "D2": "b"})
     for message, at in _structure_faults(**pieces):
-        state.error(_fault_token(state, at, end_tok), message)
+        tok = _fault_token(state, at, end_tok)
+        if tok is not None:
+            state.error(tok, message)
     return pieces
 
 
@@ -299,17 +306,26 @@ _FAULT_TOKENS = {
     "bomb": ("bomb", 2),
     "detector": ("detectors", 3),
     "source": ("source", 2),
+    "width": ("source", 10),
 }
 
 
-def _fault_token(state: _ParseState, at, default: _Token) -> _Token:
-    """Token of the directive a layout error names, else default."""
+def _fault_token(state: _ParseState, at, default: _Token) -> _Token | None:
+    """Token of the directive a layout error names, else default.
+
+    None for a piece whose directive was refused: that directive already
+    has its own error.
+    """
     if at is None:
         return default
     kind, key = at
     records, index = _FAULT_TOKENS[kind]
     record = getattr(state, records)
-    toks = (record if key is None else record[key])[0]
+    if key is not None:
+        record = record.get(key)
+    if record is None:
+        return None if at in state.given else default
+    toks = record[0]
     # an unlabeled arm's label comes from its directive as a whole
     return toks[index] if index < len(toks) else toks[0]
 
@@ -344,9 +360,8 @@ def parse_layout(text: str) -> LayoutDocument:
 
     layout = None
     if not any(d.severity == "error" for d in state.diagnostics):
-        _, source, width = state.source
         try:
-            layout = Layout(source=source, source_width=width, **pieces)
+            layout = Layout(**pieces)
         except ValueError as exc:
             state.error(_fault_token(state, getattr(exc, "at", None), end_tok), str(exc))
     return LayoutDocument(source=text, layout=layout, diagnostics=state.diagnostics)

@@ -8,15 +8,15 @@ import numpy as np
 class ConfigurationError(ValueError):
     """Raised when a layout or run configuration cannot be simulated as given.
 
-    When one piece of a layout is at fault, `at` names it:
-    ("vertex", vertex id) and ("element", vertex id) for the vertex
+    When one piece of a layout is at fault, missing or not, `at` names
+    it: ("vertex", vertex id) and ("element", vertex id) for the vertex
     position and the element's normal, ("element vertex", vertex id) for
     the vertex an element is placed at, ("arm", (start, end)) and
     ("arm label", (start, end)) for an arm and its label, ("bomb", None)
     for the obstruction's arm label, ("detector", name) for a detector's
-    port, and ("source", None) for the source momentum.
-    Otherwise (a missing piece, or a fault of the layout as a whole) it
-    is None.
+    port, and ("source", None) and ("width", None) for the source
+    momentum and its packet width. Otherwise (a fault of the layout as a
+    whole) it is None.
     """
 
     def __init__(self, *args, at=None):

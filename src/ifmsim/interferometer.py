@@ -132,23 +132,29 @@ class DetectionReport:
     event: InteractionEvent | None = None
 
 
-def _structure_faults(vertices, elements, arms, obstruction, detectors):
+def _structure_faults(vertices, elements, arms, source, source_width, obstruction,
+                      detectors):
     """Yield (message, at) for every way the pieces fail to form the square.
 
-    The faults come in a fixed order: missing vertices, missing or
-    wrong-kind elements, elements off the square, missing arms, arms off
-    the square, repeated arm labels, the obstruction's arm, and the
-    detectors. `at` is the `ConfigurationError` position of the piece at
-    fault, or None. `Layout` raises the first fault; the layout parser
+    The faults come in a fixed order: a missing source or a packet width
+    that is not positive, missing vertices, missing or wrong-kind
+    elements, elements off the square, missing arms, arms off the square,
+    repeated arm labels, the obstruction's arm, and the detectors. `at` is
+    the `ConfigurationError` position of the piece at fault, missing or
+    not, or None. `Layout` raises the first fault; the layout parser
     reports them all, each at its directive.
     """
+    if source is None:
+        yield "missing source", ("source", None)
+    elif not source_width > 0.0:
+        yield f"source packet width must be positive, got {source_width}", ("width", None)
     for vid in VERTEX_IDS:
         if vid not in vertices:
-            yield f"missing vertex {vid}", None
+            yield f"missing vertex {vid}", ("vertex", vid)
     for vid, kind in _EXPECTED_KINDS.items():
         element = elements.get(vid)
         if element is None:
-            yield f"missing {kind.value} at vertex {vid}", None
+            yield f"missing {kind.value} at vertex {vid}", ("element", vid)
         elif element.kind is not kind:
             yield (f"vertex {vid} needs a {kind.value}, found a {element.kind.value}",
                    ("element vertex", vid))
@@ -158,7 +164,7 @@ def _structure_faults(vertices, elements, arms, obstruction, detectors):
                    f"{', '.join(VERTEX_IDS)}", ("element vertex", vid))
     for pair in ARM_PAIRS:
         if pair not in arms:
-            yield f"missing arm {pair[0]}->{pair[1]}", None
+            yield f"missing arm {pair[0]}->{pair[1]}", ("arm", pair)
     for pair in arms:
         if pair not in ARM_PAIRS:
             yield f"arm {pair[0]}->{pair[1]} is not part of the square topology", ("arm", pair)
@@ -222,7 +228,9 @@ class Layout:
         for name, value in (("vertices", vertices), ("elements", self.elements),
                             ("arms", self.arms), ("detectors", self.detectors)):
             object.__setattr__(self, name, MappingProxyType(dict(value)))
+        object.__setattr__(self, "source_width", float(self.source_width))
         for message, at in _structure_faults(self.vertices, self.elements, self.arms,
+                                             self.source, self.source_width,
                                              self.obstruction, self.detectors):
             raise ConfigurationError(message, at=at)  # the first fault
         for vid in VERTEX_IDS:
@@ -235,11 +243,6 @@ class Layout:
                 raise ConfigurationError(
                     f"element stored under {vid} claims vertex {element.vertex}"
                 )
-        object.__setattr__(self, "source_width", float(self.source_width))
-        if not self.source_width > 0.0:
-            raise ConfigurationError(
-                f"source packet width must be positive, got {self.source_width}"
-            )
         object.__setattr__(self, "_geometry", _resolve_geometry(self))
 
     def __eq__(self, other):
@@ -460,13 +463,15 @@ def fringe_scan(layout: Layout, mismatch_range, steps: int,
     return np.column_stack((delta_l, (np.abs(amplitudes) ** 2).T))
 
 
-def _sample_batches(layout: Layout, n_shots: int, seed: int, batch_size: int,
-                    chunk_size: int) -> list[tuple[int, ShotCounts]]:
-    """The rows of `shot_batches`, drawing chunk_size shots' words at a time.
+def _sample_batches(layout: Layout, n_shots: int, seed: int,
+                    batch_size: int) -> list[tuple[int, ShotCounts]]:
+    """The rows of `shot_batches`, drawing SHOT_CHUNK shots' words at a time.
 
     One Philox stream serves the whole call, so memory stays bounded
     whatever the batch size; a batch that spans windows collects its
-    counts from each of them.
+    counts from each of them. `run_shots` calls this rather than
+    `shot_batches`, so replacing either public function leaves the other
+    intact.
     """
     n_shots = integer(n_shots, "shot count")
     if n_shots < 1:
@@ -474,9 +479,6 @@ def _sample_batches(layout: Layout, n_shots: int, seed: int, batch_size: int,
     batch_size = integer(batch_size, "batch size")
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    chunk_size = integer(chunk_size, "chunk size")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     seed = integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit key in [0, 2**64), got {seed}")
@@ -488,8 +490,8 @@ def _sample_batches(layout: Layout, n_shots: int, seed: int, batch_size: int,
     starts = np.arange(0, n_shots, batch_size)
     below = np.zeros((len(limits), len(starts)), dtype=np.int64)
     words = np.random.Philox(key=seed)
-    for start in range(0, n_shots, chunk_size):
-        stop = min(start + chunk_size, n_shots)
+    for start in range(0, n_shots, SHOT_CHUNK):
+        stop = min(start + SHOT_CHUNK, n_shots)
         raw = words.random_raw(stop - start)
         raw >>= np.uint64(11)
         first, last = start // batch_size, (stop - 1) // batch_size + 1
@@ -515,16 +517,14 @@ def shot_batches(layout: Layout, n_shots: int, seed: int,
     Splitting the same run into different batch sizes permutes nothing:
     concatenating rows reproduces `run_shots` exactly.
     """
-    return _sample_batches(layout, n_shots, seed, batch_size, SHOT_CHUNK)
+    return _sample_batches(layout, n_shots, seed, batch_size)
 
 
-def run_shots(layout: Layout, n_shots: int, seed: int,
-              chunk_size: int = SHOT_CHUNK) -> ShotCounts:
+def run_shots(layout: Layout, n_shots: int, seed: int) -> ShotCounts:
     """Monte Carlo detector tallies for repeated single-photon runs.
 
     Outcomes follow the exact probabilities of `propagate_analytic` via a
-    counter-based generator; see `shot_batches` for the per-shot scheme
-    that makes the totals independent of chunk_size, which only bounds
-    the number of words held at once.
+    counter-based generator; see `shot_batches` for the per-shot scheme.
+    The tallies are the one batch that holds every shot.
     """
-    return _sample_batches(layout, n_shots, seed, n_shots, chunk_size)[0][1]
+    return _sample_batches(layout, n_shots, seed, n_shots)[0][1]

@@ -9,10 +9,15 @@ factor collapses to
 
     A(beta) = (2 e^2 / (2 pi)^2) (arctanh(beta)/beta - 1),
 
-quoted here in units of e^2. A is finite for beta < 1 but the photon
-count inside a window reaching E- = 0 diverges, as does A itself at
-beta = 1; both regimes raise DivergenceError rather than returning
-infinities.
+quoted here in units of e^2. For any set of legs the factor sums
+arctanh(b)/b over pairs of legs with weights q_n q_m eta_n eta_m
+(Weinberg, Phys. Rev. 140, B516 (1965)). Charge conservation makes the
+weights sum to zero, so the 1 that arctanh(b)/b tends to at small b
+cancels exactly. The sum is therefore taken over arctanh(b)/b - 1,
+whose even series keeps full precision for slow legs. A is finite for
+beta < 1 but the photon count inside a window reaching E- = 0 diverges,
+as does A itself at beta = 1; both regimes raise DivergenceError rather
+than returning infinities.
 
 These emissions pollute an interaction-free measurement: an absorber
 firing on one branch radiates, and a soft photon landing in a detector
@@ -35,9 +40,10 @@ from .interferometer import DetectionReport
 # e^2 = 4 pi alpha in Heaviside-Lorentz units, alpha = 1/137.035999
 E_SQUARED_HEAVISIDE_LORENTZ = 4.0 * math.pi / 137.035999
 
-# below this speed arctanh(beta)/beta loses digits to cancellation;
-# the even series in beta^2 is exact to double precision there
-SERIES_BETA_CROSSOVER = 1e-4
+# below this speed arctanh(beta)/beta - 1 loses digits to cancellation
+# (a relative 1e-8 at 1e-4); the three-term even series in beta^2 is exact
+# to double precision there
+SERIES_BETA_CROSSOVER = 1e-3
 
 _TWO_PI_SQ = (2.0 * math.pi) ** 2
 
@@ -119,13 +125,6 @@ def _arctanh_over_beta_excess(beta: float) -> float:
     return math.atanh(beta) / beta - 1.0
 
 
-def _arctanh_over_beta(beta: float) -> float:
-    """arctanh(beta)/beta, switching to its even series at small beta."""
-    if beta < SERIES_BETA_CROSSOVER:
-        return 1.0 + _arctanh_over_beta_excess(beta)
-    return math.atanh(beta) / beta
-
-
 def weinberg_factor_fermion(beta: float) -> float:
     """Emission factor for one charge kicked from rest to speed beta.
 
@@ -155,7 +154,9 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
 
     with the diagonal terms taking the b -> 0 limit of 1. The legs must
     conserve charge, sum_n eta_n q_n = 0 to a relative 1e-12 of
-    sum_n |q_n|; otherwise A can come out negative. Each pairwise
+    sum_n |q_n|; otherwise A can come out negative. The weights then sum
+    to (sum_n eta_n q_n)^2 = 0, so each term is taken as
+    arctanh(b_nm)/b_nm - 1 and the diagonal drops out. Each pairwise
     speed must also fit the legs' own speeds: with y = atanh(velocity),
     atanh(b_nm) lies in [|y_n - y_m|, y_n + y_m] to within 1e-9. For one
     incoming and one outgoing leg of unit charge this reduces exactly to
@@ -206,7 +207,7 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
     for i, leg_i in enumerate(legs):
         for j, leg_j in enumerate(legs):
             weight = leg_i.charge * leg_j.charge * leg_i.eta * leg_j.eta
-            total += weight * _arctanh_over_beta(float(beta[i, j]))
+            total += weight * _arctanh_over_beta_excess(float(beta[i, j]))
     return -total / _TWO_PI_SQ
 
 
@@ -264,26 +265,20 @@ class CorrectedReport:
     p_joint: float
 
 
-def corrected_probabilities(report: DetectionReport, pollution: float,
-                            detector_share=(0.5, 0.5)) -> CorrectedReport:
+def corrected_probabilities(report: DetectionReport, pollution: float) -> CorrectedReport:
     """Fold stray-photon pollution into a detection report.
 
     Each absorption event fakes a detector count with probability
-    `pollution`; the fake lands on D1 or D2 per `detector_share` (split
-    evenly by default). The input report is not modified.
+    `pollution`; the fake lands on D1 or D2 with equal odds. The input
+    report is not modified.
     """
     pollution = float(pollution)
     if not 0.0 <= pollution <= 1.0:
         raise ValueError(f"pollution probability must lie in [0, 1], got {pollution}")
-    share_d1, share_d2 = (float(s) for s in detector_share)
-    if not (share_d1 >= 0.0 and share_d2 >= 0.0 and share_d1 + share_d2 <= 1.0 + 1e-12):
-        raise ValueError(
-            f"detector shares must be nonnegative with sum at most 1, got {detector_share}"
-        )
     joint = report.p_absorbed * pollution
     return CorrectedReport(
-        p_d1=report.p_d1 + joint * share_d1,
-        p_d2=report.p_d2 + joint * share_d2,
+        p_d1=report.p_d1 + joint * 0.5,
+        p_d2=report.p_d2 + joint * 0.5,
         p_absorbed=report.p_absorbed,
-        p_joint=joint * (share_d1 + share_d2),
+        p_joint=joint,
     )

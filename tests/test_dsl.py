@@ -248,6 +248,40 @@ def test_extra_vertex_warns():
     assert any("outside the square topology" in d.message for d in doc.warnings)
 
 
+def test_extra_vertex_is_dropped():
+    text = read_text("mzi.ifm")
+    doc = parse_layout(text + "vertex X9 5 5 5\n")
+    assert "X9" not in doc.layout.vertices
+    assert doc.layout == parse_layout(text).layout
+    assert serialize_layout(doc.layout) == text
+
+
+REFUSED_VALUES = [
+    # (replaced text, replacement, position of the refused value token)
+    ("arm L11 L12 length 1", "arm L11 L12 length -1", (9, 20)),
+    ("source momentum 1 0 0", "source momentum 0 0 0", (13, 17)),
+    ("vertex L12 1 0 0", "vertex L12 1 0 x", (2, 16)),
+    ("mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
+     "mirror L12 normal 0 0 0", (6, 19)),
+]
+
+
+@pytest.mark.parametrize("old, new, position", REFUSED_VALUES,
+                         ids=["arm-length", "momentum", "vertex", "normal"])
+def test_refused_value_is_not_also_reported_missing(old, new, position):
+    doc = parse_layout(read_text("mzi.ifm").replace(old, new))
+    assert doc.layout is None
+    assert [(d.line, d.column) for d in doc.errors] == [position]
+
+
+def test_packet_width_rule_is_the_layouts(square):
+    doc = parse_layout(read_text("mzi.ifm").replace("width 0.050000000000000003", "width 0"))
+    with pytest.raises(ConfigurationError) as info:
+        replace(square, source_width=0.0)
+    assert info.value.at == ("width", None)
+    assert [str(d) for d in doc.errors] == [f"13:48: error: {info.value}"]
+
+
 def test_source_validation():
     text = read_text("mzi.ifm")
     doc = parse_layout(text.replace(

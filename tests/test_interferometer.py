@@ -17,6 +17,7 @@ from ifmsim import (
     build_space,
     fringe_scan,
     householder,
+    interferometer,
     propagate_analytic,
     run_shots,
     shot_batches,
@@ -328,6 +329,20 @@ def test_layout_validation_errors(square):
                detectors={"D1": "a", "D2": "a"})
 
 
+def test_layout_names_a_missing_piece(square):
+    vertices = {k: v for k, v in square.vertices.items() if k != "L21"}
+    with pytest.raises(ConfigurationError, match="missing vertex L21") as err:
+        replace(square, vertices=vertices)
+    assert err.value.at == ("vertex", "L21")
+    arms = {k: v for k, v in square.arms.items() if k != ("L12", "L22")}
+    with pytest.raises(ConfigurationError, match="missing arm L12->L22") as err:
+        replace(square, arms=arms)
+    assert err.value.at == ("arm", ("L12", "L22"))
+    with pytest.raises(ConfigurationError, match="missing source") as err:
+        replace(square, source=None)
+    assert err.value.at == ("source", None)
+
+
 def test_layout_refuses_pieces_off_the_square(square):
     extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)), "X9")
     with pytest.raises(ConfigurationError, match="unexpected element at vertex 'X9'") as err:
@@ -356,12 +371,13 @@ def test_shots_all_bright_without_obstruction(square):
     assert (counts.d1, counts.d2, counts.absorbed) == (1000, 0, 0)
 
 
-def test_shots_reproducible_and_chunk_invariant(bomb_layout):
+def test_shots_reproducible_and_chunk_invariant(bomb_layout, monkeypatch):
     baseline = run_shots(bomb_layout, 20_000, seed=123)
     assert baseline.total == 20_000
     assert run_shots(bomb_layout, 20_000, seed=123) == baseline
     for chunk in (1, 13, 999, 20_000, 1 << 20):
-        again = run_shots(bomb_layout, 20_000, seed=123, chunk_size=chunk)
+        monkeypatch.setattr(interferometer, "SHOT_CHUNK", chunk)
+        again = run_shots(bomb_layout, 20_000, seed=123)
         assert again == baseline
     assert run_shots(bomb_layout, 20_000, seed=124) != baseline
 
@@ -395,11 +411,9 @@ def test_shots_refuse_seed_outside_64_bits(square, seed):
     (lambda layout: run_shots(layout, 1000, 5.5), "seed"),
     (lambda layout: run_shots(layout, 1000, True), "seed"),
     (lambda layout: run_shots(layout, 1000.9, 5), "shot count"),
-    (lambda layout: run_shots(layout, 1000, 5, chunk_size=256.0), "chunk size"),
     (lambda layout: shot_batches(layout, 1000, 5, 16.5), "batch size"),
     (lambda layout: shot_batches(layout, np.float64(1000.0), 5, 16), "shot count"),
-], ids=["float-seed", "bool-seed", "float-count", "float-chunk", "float-batch",
-        "numpy-float-count"])
+], ids=["float-seed", "bool-seed", "float-count", "float-batch", "numpy-float-count"])
 def test_shots_refuse_non_integer_arguments(bomb_layout, call, name):
     # truncation would alias them: seed 5.5 would draw seed 5's tallies
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -407,7 +421,7 @@ def test_shots_refuse_non_integer_arguments(bomb_layout, call, name):
 
 
 def test_shots_accept_numpy_integers(bomb_layout):
-    counts = run_shots(bomb_layout, np.int64(1000), np.uint64(5), chunk_size=np.int32(256))
+    counts = run_shots(bomb_layout, np.int64(1000), np.uint64(5))
     assert counts == run_shots(bomb_layout, 1000, 5)
     rows = shot_batches(bomb_layout, np.int16(1000), np.int64(5), np.uint8(16))
     assert rows == shot_batches(bomb_layout, 1000, 5, 16)
@@ -419,7 +433,7 @@ def test_shots_accept_seed_range_ends(bomb_layout, seed):
 
 
 @pytest.mark.parametrize("efficiency", [0.6, None])
-def test_shot_stream_contract_from_first_principles(square, efficiency):
+def test_shot_stream_contract_from_first_principles(square, efficiency, monkeypatch):
     # shot s reads word s of the plain Philox random_raw stream keyed by the
     # seed, and lands in D1, D2 or the absorber by u = (w >> 11) 2**-53
     layout = square if efficiency is None else with_obstruction(square, "lower", efficiency)
@@ -435,8 +449,10 @@ def test_shot_stream_contract_from_first_principles(square, efficiency):
         assert t2 == 1.0 and whole == (n, 0, 0)
     # windows of 999 and 4097 shots start off multiples of 4
     for chunk in (999, 4097, n):
-        counts = run_shots(layout, n, seed, chunk_size=chunk)
+        monkeypatch.setattr(interferometer, "SHOT_CHUNK", chunk)
+        counts = run_shots(layout, n, seed)
         assert (counts.d1, counts.d2, counts.absorbed) == whole
+    monkeypatch.undo()
     # batches of 3 and 5 start off multiples of 4, and 100 000 spans two windows
     for batch_size in (1, 3, 5, 4096, 100_000):
         rows = shot_batches(layout, n, seed, batch_size)
