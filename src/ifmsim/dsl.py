@@ -166,7 +166,7 @@ def _parse_element(state: _ParseState, toks: list[_Token]):
         state.duplicate(vertex, f"element at vertex {vertex.text!r}",
                         state.elements[vertex.text])
         return
-    element = OpticalElement(toks[0].text, reflection, vertex.text)
+    element = OpticalElement(toks[0].text, reflection)
     state.elements[vertex.text] = (toks, element)
 
 
@@ -180,7 +180,7 @@ def _parse_arm(state: _ParseState, toks: list[_Token]):
         return
     labelled = len(toks) == 7
     label = toks[6].text if labelled else f"{pair[0]}_{pair[1]}"
-    arm = state.build(toks[4], Arm, *pair, length, label)
+    arm = state.build(toks[4], Arm, length, label)
     if arm is None or (labelled and not state.keyword(toks[5], "label")):
         return
     if pair in state.arms:
@@ -384,8 +384,8 @@ def serialize_layout(layout: Layout) -> str:
         element = layout.elements[vid]
         out.append(f"{element.kind.value} {vid} normal "
                    f"{_fmt_vec(element.reflection.normal)}")
-    for arm in sorted(layout.arms.values(), key=lambda a: a.label):
-        out.append(f"arm {arm.start} {arm.end} length {_fmt(arm.length)} "
+    for (start, end), arm in sorted(layout.arms.items(), key=lambda item: item[1].label):
+        out.append(f"arm {start} {end} length {_fmt(arm.length)} "
                    f"label {arm.label}")
     source = layout.source
     out.append(f"source momentum {_fmt_vec(source.momentum)} "

@@ -54,6 +54,7 @@ from .optics import (
     GaussianPacket,
     OpticalElement,
     PhotonMode,
+    _read_only,
     householder,
     locality_check,
     packet_overlap,
@@ -80,10 +81,11 @@ SHOT_CHUNK = 65536
 
 @dataclass(frozen=True)
 class Arm:
-    """Directed arm of the square, with its physical length and a label."""
+    """Arm of the square, with its physical length and a label.
 
-    start: str
-    end: str
+    A layout keys each arm by its (start, end) vertex pair.
+    """
+
     length: float
     label: str
 
@@ -91,7 +93,7 @@ class Arm:
         object.__setattr__(self, "length", float(self.length))
         if not self.length > 0.0:
             raise ConfigurationError(
-                f"arm {self.start}->{self.end} must have positive length, got {self.length}"
+                f"arm {self.label!r} must have positive length, got {self.length}"
             )
 
 
@@ -208,8 +210,9 @@ class Layout:
     vertices maps the four ids to positions; elements maps each vertex to
     its optical element; arms is keyed by (start, end); detectors maps
     D1/D2 to output ports a/b. Construction validates the structure and
-    checks the geometry once. A layout is immutable (read-only mappings
-    and vertex copies), so `dataclasses.replace` builds a changed one.
+    checks the geometry once. A layout is immutable all the way down:
+    read-only mappings of frozen values, whose arrays are read-only
+    copies, so `dataclasses.replace` builds a changed one.
     """
 
     vertices: Mapping[str, np.ndarray]
@@ -222,9 +225,7 @@ class Layout:
     _geometry: _Geometry = field(init=False, repr=False)
 
     def __post_init__(self):
-        vertices = {k: np.array(v, dtype=float) for k, v in self.vertices.items()}
-        for position in vertices.values():
-            position.setflags(write=False)
+        vertices = {k: _read_only(v) for k, v in self.vertices.items()}
         for name, value in (("vertices", vertices), ("elements", self.elements),
                             ("arms", self.arms), ("detectors", self.detectors)):
             object.__setattr__(self, name, MappingProxyType(dict(value)))
@@ -238,11 +239,6 @@ class Layout:
             if position.shape != (3,) or not all(map(math.isfinite, position.tolist())):
                 raise ConfigurationError(f"vertex {vid} position must be a finite 3-vector, "
                                          f"got {position}", at=("vertex", vid))
-        for vid, element in self.elements.items():
-            if element.vertex != vid:
-                raise ConfigurationError(
-                    f"element stored under {vid} claims vertex {element.vertex}"
-                )
         object.__setattr__(self, "_geometry", _resolve_geometry(self))
 
     def __eq__(self, other):
@@ -281,25 +277,21 @@ def square_layout(arm_length: float = 1.0, momentum_magnitude: float = 1.0,
     swaps the +x and +y directions; the polarization sits along z and is
     untouched by every reflection.
     """
-    a = float(arm_length)
-    if not a > 0.0:
-        raise ValueError(f"arm length must be positive, got {a}")
     p = float(momentum_magnitude)
     if not p > 0.0:
         raise ValueError(f"momentum magnitude must be positive, got {p}")
-    vertices = {"L11": (0.0, 0.0, 0.0), "L12": (a, 0.0, 0.0),
-                "L21": (0.0, a, 0.0), "L22": (a, a, 0.0)}
+    vertices = {"L11": (0.0, 0.0, 0.0), "L12": (arm_length, 0.0, 0.0),
+                "L21": (0.0, arm_length, 0.0), "L22": (arm_length, arm_length, 0.0)}
     elements = {
-        vid: OpticalElement(_EXPECTED_KINDS[vid], householder((1.0, -1.0, 0.0)), vid)
+        vid: OpticalElement(_EXPECTED_KINDS[vid], householder((1.0, -1.0, 0.0)))
         for vid in VERTEX_IDS
     }
-    labels = {
-        ("L11", "L12"): "lower",
-        ("L11", "L21"): "upper",
-        ("L12", "L22"): "lower_exit",
-        ("L21", "L22"): "upper_exit",
+    arms = {
+        ("L11", "L12"): Arm(arm_length, "lower"),
+        ("L11", "L21"): Arm(arm_length, "upper"),
+        ("L12", "L22"): Arm(arm_length, "lower_exit"),
+        ("L21", "L22"): Arm(arm_length, "upper_exit"),
     }
-    arms = {pair: Arm(pair[0], pair[1], a, labels[pair]) for pair in ARM_PAIRS}
     source = PhotonMode(momentum=(p, 0.0, 0.0), polarization=(0.0, 0.0, 1.0))
     return Layout(vertices=vertices, elements=elements, arms=arms,
                   source=source, source_width=width)
@@ -380,9 +372,7 @@ def _resolve_geometry(layout: Layout) -> _Geometry:
     # both mirrors have the same angle, so one port matrix acts on (t, r)
     arrays = (port_matrix(bs1), port_matrix(layout.elements[t_vertex]),
               port_matrix(layout.elements["L22"])[order], np.array([k_u, k_v])[order])
-    for array in arrays:
-        array.setflags(write=False)
-    return _Geometry((t_vertex, r_vertex), packets, *arrays, p_mag)
+    return _Geometry((t_vertex, r_vertex), packets, *map(_read_only, arrays), p_mag)
 
 
 def _transfer(layout: Layout, extra_lower: np.ndarray, locality_tolerance: float):

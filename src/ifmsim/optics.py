@@ -25,8 +25,15 @@ _EPS = sys.float_info.epsilon
 _SQUARED_RANGE = (2.0**-1000, 2.0**1000)
 
 
+def _read_only(value) -> np.ndarray:
+    """A float copy of value that neither its holder nor the caller can write."""
+    arr = np.array(value, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_vec3(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _read_only(value)
     if arr.shape != (3,):
         raise ValueError(f"{what} must be a 3-vector, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -34,7 +41,7 @@ def _as_vec3(value, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PhotonMode:
     """A single-photon mode label: momentum 3-vector plus transverse polarization.
 
@@ -46,14 +53,14 @@ class PhotonMode:
     polarization: np.ndarray
 
     def __post_init__(self):
-        self.momentum = _as_vec3(self.momentum, "momentum")
-        self.polarization = _as_vec3(self.polarization, "polarization")
+        object.__setattr__(self, "momentum", _as_vec3(self.momentum, "momentum"))
+        object.__setattr__(self, "polarization", _as_vec3(self.polarization, "polarization"))
         energy = self.energy
         if energy == 0.0:
             raise ValueError("momentum must be nonzero")
         if abs(math.sqrt(self.polarization.dot(self.polarization)) - 1.0) > _UNIT_TOL:
             raise ValueError("polarization must be a unit vector")
-        if abs(float(self.polarization @ self.momentum)) > _UNIT_TOL * energy:
+        if abs(float(self.polarization.dot(self.momentum))) > _UNIT_TOL * energy:
             raise ValueError("polarization must be transverse to the momentum")
 
     @property
@@ -71,12 +78,16 @@ class PhotonMode:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HouseholderReflection:
     """Reflection through the plane orthogonal to a unit normal."""
 
     normal: np.ndarray
     matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", _read_only(self.normal))
+        object.__setattr__(self, "matrix", _read_only(self.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, HouseholderReflection):
@@ -123,30 +134,20 @@ class ElementKind(str, Enum):
 _KIND_ANGLE = {ElementKind.MIRROR: math.pi / 2, ElementKind.BEAMSPLITTER: math.pi / 4}
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class OpticalElement:
-    """A mirror or beamsplitter sitting at a named vertex of the layout."""
+    """A mirror or beamsplitter; a layout keys it by the vertex it sits at."""
 
     kind: ElementKind
     reflection: HouseholderReflection
-    vertex: str
 
     def __post_init__(self):
-        self.kind = ElementKind(self.kind)
+        object.__setattr__(self, "kind", ElementKind(self.kind))
 
     @property
     def alpha(self) -> float:
         """Two-port mixing angle implied by the element kind."""
         return _KIND_ANGLE[self.kind]
-
-    def __eq__(self, other):
-        if not isinstance(other, OpticalElement):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.vertex == other.vertex
-            and self.reflection == other.reflection
-        )
 
 
 def two_port_rotation(alpha: float) -> np.ndarray:
@@ -164,7 +165,7 @@ def port_matrix(element: OpticalElement) -> np.ndarray:
     return two_port_rotation(element.alpha)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GaussianPacket:
     """Gaussian envelope of a branch: center position, common width, carrier mode."""
 
@@ -173,8 +174,8 @@ class GaussianPacket:
     carrier: PhotonMode
 
     def __post_init__(self):
-        self.center = _as_vec3(self.center, "center")
-        self.width = float(self.width)
+        object.__setattr__(self, "center", _as_vec3(self.center, "center"))
+        object.__setattr__(self, "width", float(self.width))
         if not self.width > 0.0:
             raise ValueError("packet width must be positive")
 

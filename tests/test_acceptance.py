@@ -130,7 +130,7 @@ def test_criterion_06_branch_independence_certificate():
                          carrier=carrier)
     overlap = packet_overlap(here, far)
     assert overlap < 1.2e-7
-    assert overlap == pytest.approx(math.exp(-16.0), rel=1e-14)
+    assert overlap == pytest.approx(math.exp(-16.0), rel=1e-14, abs=0)
     assert locality_check(here, far)
     assert not locality_check(here, here)
     print("[PASS] criterion 6: 8 sigma separation overlaps below 1.2e-7 "

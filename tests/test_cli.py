@@ -246,7 +246,7 @@ def test_soft_legs_file_matches_beta_route(tmp_path, capsys):
     assert code == 0
     a_legs = json.loads(by_legs)["weinberg_a_e2"]
     a_beta = json.loads(by_beta)["weinberg_a_e2"]
-    assert a_legs == pytest.approx(a_beta, rel=1e-12)
+    assert a_legs == pytest.approx(a_beta, rel=1e-12, abs=0)
 
 
 def test_soft_legs_file_shape_checked(tmp_path, capsys):

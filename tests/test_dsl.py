@@ -54,11 +54,15 @@ def test_round_trip_byte_identity(name):
 
 def test_round_trip_structural_identity_on_variations():
     base = square_layout(arm_length=2.25, momentum_magnitude=3.5, width=0.01)
+    lower, upper = base.arms[("L11", "L12")], base.arms[("L11", "L21")]
     variants = [
         base,
         with_obstruction(base, "upper", 0.5),
         with_obstruction(base, "lower", 0.125),
         replace(base, detectors={"D1": "b", "D2": "a"}),
+        # the input-side arms swapped between their keys: an arm is where it is keyed
+        replace(base, arms={**base.arms, ("L11", "L12"): replace(upper, length=2.5),
+                            ("L11", "L21"): lower}),
     ]
     for layout in variants:
         text = serialize_layout(layout)
@@ -328,7 +332,7 @@ def _constructor_message(make, *args):
 VALUE_RULES = [
     # (replaced text, replacement, position of the value token, library call)
     ("arm L11 L12 length 1 label lower", "arm L11 L12 length 0 label lower", (9, 20),
-     (Arm, "L11", "L12", 0.0, "lower")),
+     (Arm, 0.0, "lower")),
     (None, "bomb arm lower efficiency 1.5", (16, 27), (Obstruction, "lower", 1.5)),
     ("mirror L12 normal 0.70710678118654746 -0.70710678118654746 0",
      "mirror L12 normal 0 0 0", (6, 19), (householder, (0.0, 0.0, 0.0))),
@@ -353,12 +357,12 @@ def test_value_rules_are_the_library_constructors(old, new, position, call):
 
 def _wrong_kind(square):
     splitter = square.elements["L11"]
-    mirror = OpticalElement(ElementKind.MIRROR, splitter.reflection, "L11")
+    mirror = OpticalElement(ElementKind.MIRROR, splitter.reflection)
     return {"elements": {**square.elements, "L11": mirror}}
 
 
 def _extra_element(square):
-    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)), "X9")
+    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)))
     return {"elements": {**square.elements, "X9": extra}}
 
 
@@ -372,7 +376,7 @@ STRUCTURE_RULES = [
     ("detector D2 port b", "detector D2 port a", (15, 18),
      lambda sq: {"detectors": {"D1": "a", "D2": "a"}}),
     (None, "arm L12 L21 length 1 label diagonal", (16, 1),
-     lambda sq: {"arms": {**sq.arms, ("L12", "L21"): Arm("L12", "L21", 1.0, "diagonal")}}),
+     lambda sq: {"arms": {**sq.arms, ("L12", "L21"): Arm(1.0, "diagonal")}}),
     (None, "mirror X9 normal 1 0 0", (16, 8), _extra_element),
 ]
 

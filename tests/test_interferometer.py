@@ -1,7 +1,8 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_bad_splitter_normal_rejected(square):
 
     elements = dict(square.elements)
     # normal along x reflects the beam straight back instead of up
-    elements["L11"] = OpticalElement(ElementKind.BEAMSPLITTER, householder((1.0, 0.0, 0.0)), "L11")
+    elements["L11"] = OpticalElement(ElementKind.BEAMSPLITTER, householder((1.0, 0.0, 0.0)))
     with pytest.raises(ConfigurationError, match="steer"):
         replace(square, elements=elements)
 
@@ -256,7 +257,7 @@ def test_geometry_checked_once_on_construction(square, change, at):
     # each mis-steering is refused when the layout is built, naming its directive
     elements = dict(square.elements)
     for vid, (kind, normal) in change.get("elements", {}).items():
-        elements[vid] = OpticalElement(kind, householder(normal), vid)
+        elements[vid] = OpticalElement(kind, householder(normal))
     vertices = {**square.vertices, **change.get("vertices", {})}
     source = PhotonMode(change.get("source", square.source.momentum), (0.0, 0.0, 1.0))
     with pytest.raises(ConfigurationError) as caught:
@@ -277,15 +278,47 @@ def test_non_finite_vertex_named_before_steering(square, vid, value):
     assert caught.value.at == ("vertex", vid)
 
 
+def _reachable_arrays(value, path="layout"):
+    """(path, array) for every numpy array reachable from value."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif is_dataclass(value):
+        for item in fields(value):
+            yield from _reachable_arrays(getattr(value, item.name), f"{path}.{item.name}")
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            yield from _reachable_arrays(item, f"{path}[{key!r}]")
+    elif isinstance(value, tuple):
+        for index, item in enumerate(value):
+            yield from _reachable_arrays(item, f"{path}[{index}]")
+
+
+def _accepts_write(array):
+    try:
+        array[...] = array  # a write that leaves a writable array as it was
+    except ValueError:
+        return False
+    return True
+
+
 def test_built_layout_is_immutable(square):
     with pytest.raises(TypeError):
-        square.arms[("L11", "L12")] = Arm("L11", "L12", 2.0, "lower")
+        square.arms[("L11", "L12")] = Arm(2.0, "lower")
     with pytest.raises(ValueError):
         square.vertices["L12"][0] = 5.0
     with pytest.raises(FrozenInstanceError):
         square.source = PhotonMode((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     with pytest.raises(FrozenInstanceError):
         square.arms[("L11", "L12")].length = 2.0
+    # so is every array the layout reaches
+    with pytest.raises(ValueError):
+        square.source.momentum[:] = (2.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        square.elements["L11"].reflection.normal[:] = (1.0, 0.0, 0.0)
+    arrays = dict(_reachable_arrays(square))
+    assert {"layout.source.polarization", "layout.elements['L22'].reflection.matrix",
+            "layout._geometry[1][0].center"} <= set(arrays)
+    assert [path for path, array in arrays.items() if _accepts_write(array)] == []
     # the layout keeps a copy of each position it was given
     position = np.array([1.0, 0.0, 0.0])
     layout = replace(square, vertices={**square.vertices, "L12": position})
@@ -344,11 +377,11 @@ def test_layout_names_a_missing_piece(square):
 
 
 def test_layout_refuses_pieces_off_the_square(square):
-    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)), "X9")
+    extra = OpticalElement(ElementKind.MIRROR, householder((1.0, 0.0, 0.0)))
     with pytest.raises(ConfigurationError, match="unexpected element at vertex 'X9'") as err:
         replace(square, elements={**square.elements, "X9": extra})
     assert err.value.at == ("element vertex", "X9")
-    diagonal = Arm("L12", "L21", 1.0, "diagonal")
+    diagonal = Arm(1.0, "diagonal")
     with pytest.raises(ConfigurationError, match="L12->L21 is not part of the square") as err:
         replace(square, arms={**square.arms, ("L12", "L21"): diagonal})
     assert err.value.at == ("arm", ("L12", "L21"))
@@ -356,7 +389,7 @@ def test_layout_refuses_pieces_off_the_square(square):
 
 def test_arm_length_must_be_positive():
     with pytest.raises(ConfigurationError, match="positive length"):
-        Arm("L11", "L12", 0.0, "lower")
+        Arm(0.0, "lower")
 
 
 def test_square_layout_argument_validation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ifmsim import (
     reflect_mode,
     two_port_rotation,
 )
+from ifmsim.optics import HouseholderReflection
 
 
 def test_householder_properties_random_normals():
@@ -120,8 +122,8 @@ def test_two_port_rotation_composition():
 
 def test_port_matrix_angles_by_kind():
     refl = householder((1.0, -1.0, 0.0))
-    mirror = OpticalElement(ElementKind.MIRROR, refl, "L12")
-    splitter = OpticalElement(ElementKind.BEAMSPLITTER, refl, "L11")
+    mirror = OpticalElement(ElementKind.MIRROR, refl)
+    splitter = OpticalElement(ElementKind.BEAMSPLITTER, refl)
     assert mirror.alpha == math.pi / 2
     assert splitter.alpha == math.pi / 4
     np.testing.assert_allclose(port_matrix(mirror), [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
@@ -159,6 +161,31 @@ def test_locality_check_boundaries():
         locality_check(_packet(0.0), _packet(1.0), tolerance=0.0)
     with pytest.raises(ValueError, match="tolerance"):
         locality_check(_packet(0.0), _packet(1.0), tolerance=1.0)
+
+
+def test_values_hold_frozen_copies_of_their_arrays():
+    momentum, polarization, center = np.array([1.0, 0.0, 0.0]), np.eye(3)[2], np.zeros(3)
+    given = householder((1.0, -1.0, 0.0))
+    normal, matrix = given.normal.copy(), given.matrix.copy()
+    mode = PhotonMode(momentum, polarization)
+    packet = GaussianPacket(center, 0.05, mode)
+    reflection = HouseholderReflection(normal, matrix)
+    # writing into the caller's arrays afterwards leaves every value as it was built
+    for array in (momentum, polarization, center, normal, matrix):
+        array[:] = 7.0
+    np.testing.assert_array_equal(mode.momentum, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(mode.polarization, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(packet.center, [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(reflection.normal, given.normal)
+    np.testing.assert_array_equal(reflection.matrix, given.matrix)
+    for array in (mode.momentum, mode.polarization, packet.center, reflection.normal,
+                  reflection.matrix):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    for value, name in ((mode, "momentum"), (packet, "width"), (reflection, "matrix"),
+                        (OpticalElement(ElementKind.MIRROR, reflection), "reflection")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_gaussian_packet_width_positive():

@@ -20,6 +20,7 @@ from ifmsim import (
     weinberg_factor_general,
     with_obstruction,
 )
+from ifmsim.softphotons import _arctanh_over_beta_excess
 
 mp.mp.dps = 50
 
@@ -50,6 +51,18 @@ def test_fermion_factor_small_beta_series_branch():
     below = weinberg_factor_fermion(0.99e-4)
     above = weinberg_factor_fermion(1.01e-4)
     assert 0 < below < above
+
+
+def test_arctanh_excess_keeps_its_digits_on_a_geometric_grid():
+    # both branches of arctanh(b)/b - 1, against 50 digits; the cancelling
+    # form lost 6e-10 of it just above b = 1e-3
+    worst = 0.0
+    for beta in np.geomspace(1e-9, 0.9, 4000).tolist():
+        b = mp.mpf(beta)
+        expected = mp.atanh(b) / b - 1
+        got = _arctanh_over_beta_excess(beta)
+        worst = max(worst, float(abs((got - expected) / expected)))
+    assert worst <= 5e-15
 
 
 def test_fermion_factor_monotone_in_beta():
