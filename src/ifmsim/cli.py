@@ -158,10 +158,18 @@ def _cmd_shots(args) -> int:
 def _load_legs(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if "legs" not in payload or "pairwise_beta" not in payload:
+    if not isinstance(payload, dict) or "legs" not in payload or "pairwise_beta" not in payload:
         raise ValueError(
             f"legs file {path} must hold keys 'legs' and 'pairwise_beta'"
         )
+    if not isinstance(payload["legs"], list):
+        raise ValueError(f"legs file {path}: 'legs' must be a list of objects")
+    for index, leg in enumerate(payload["legs"]):
+        if not isinstance(leg, dict):
+            raise ValueError(f"legs file {path}: leg {index} must be an object")
+        for key in ("charge", "eta", "velocity"):
+            if key not in leg:
+                raise ValueError(f"legs file {path}: leg {index} has no {key!r}")
     legs = [ProcessLeg(charge=leg["charge"], eta=leg["eta"], velocity=leg["velocity"])
             for leg in payload["legs"]]
     return legs, payload["pairwise_beta"]

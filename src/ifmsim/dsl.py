@@ -11,15 +11,27 @@ directive order is free:
     bomb arm <label> [efficiency <e>]
     detector <D1|D2> port <a|b>
 
-A line must match its usage with or without the bracketed tail: a tail
-is given whole or not at all. Each directive builds its library object
-(`householder` and `OpticalElement`, `Arm`, `PhotonMode`, `Obstruction`)
-as it is read, so the value rules are the library's own and a refused
-value is reported at its token. The square's structural rules are
-`Layout`'s: once every line is read, the parser runs them on what it
-built and reports each fault at the directive it names. A piece whose
-directive was refused is not also reported missing, and a vertex off
-the square is dropped with a warning.
+Each line is checked in one fixed order, from the grammar table below:
+1. its arity: the line must match its usage with or without the
+   bracketed tail, so a tail is given whole or not at all;
+2. a second definition of the piece it defines (a vertex, the element
+   at a vertex, an arm, the source, the bomb, a detector), refused as
+   already defined on the first line; a line that redefines a piece
+   whose earlier line was refused is the piece's definition;
+3. its keywords, the usage's plain words: the first wrong one is
+   reported at its token;
+4. its values. Each directive builds its library object (`householder`
+   and `OpticalElement`, `Arm`, `PhotonMode`, `Obstruction`), so the
+   value rules are the library's own and a refused value is reported
+   at its token.
+A line refused at one of the first three steps reports that one fault
+and is not read further.
+
+The square's structural rules are `Layout`'s: once every line is read,
+the parser runs them on what it built and reports each fault at the
+directive it names. A piece whose directive was refused is not also
+reported missing, and a vertex off the square is dropped with a
+warning.
 
 Parsing never raises on bad input; problems come back as positioned
 diagnostics (1-based line and column). Only error-severity diagnostics
@@ -37,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,25 +98,15 @@ class _Token:
 class _ParseState:
     def __init__(self):
         self.diagnostics: list[Diagnostic] = []
-        # each record holds the directive's tokens and what the directive built
-        self.vertices: dict[str, tuple[list[_Token], np.ndarray]] = {}
-        self.elements: dict[str, tuple[list[_Token], OpticalElement]] = {}
-        self.arms: dict[tuple[str, str], tuple[list[_Token], Arm]] = {}
-        self.source: tuple[list[_Token], PhotonMode, float] | None = None
-        self.bomb: tuple[list[_Token], Obstruction] | None = None
-        self.detectors: dict[str, tuple[list[_Token], str]] = {}
-        # the `ConfigurationError.at` of each piece a directive was given for;
-        # one given but never recorded was refused, and its error is reported
-        self.given: set = set()
+        # the `ConfigurationError.at` of each piece a line defined -> (the
+        # line's tokens, what it built, or None for a refused line)
+        self.records: dict = {}
 
     def error(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(tok.line, tok.column, "error", message))
 
     def warning(self, tok: _Token, message: str):
         self.diagnostics.append(Diagnostic(tok.line, tok.column, "warning", message))
-
-    def duplicate(self, tok: _Token, what: str, record):
-        self.error(tok, f"{what} already defined on line {record[0][0].line}")
 
     def number(self, tok: _Token, what: str) -> float | None:
         try:
@@ -122,14 +125,14 @@ class _ParseState:
             return None
         return np.array(parts, dtype=float)
 
-    def keyword(self, tok: _Token, expected: str) -> bool:
-        if tok.text != expected:
-            self.error(tok, f"expected keyword {expected!r}, found {tok.text!r}")
-            return False
-        return True
-
     def build(self, tok: _Token, make, *args):
-        """make(*args), or None with the ValueError it raised reported at tok."""
+        """make(*args), or None with the ValueError it raised reported at tok.
+
+        Also None, with nothing more reported, when an argument is None: a
+        value already refused.
+        """
+        if any(arg is None for arg in args):
+            return None
         try:
             return make(*args)
         except ValueError as exc:
@@ -137,134 +140,117 @@ class _ParseState:
             return None
 
 
+# Each handler reads a line whose arity and keywords are already checked and
+# returns what it built, or None once it has reported why it could not.
+
 def _parse_vertex(state: _ParseState, toks: list[_Token]):
-    ident = toks[1]
-    state.given.add(("vertex", ident.text))
-    if ident.text in state.vertices:
-        state.duplicate(ident, f"vertex {ident.text!r}", state.vertices[ident.text])
-        return
-    position = state.vector(toks[2:5], "vertex position")
-    if position is not None:
-        state.vertices[ident.text] = (toks, position)
+    return state.vector(toks[2:5], "vertex position")
 
 
 def _parse_element(state: _ParseState, toks: list[_Token]):
-    vertex = toks[1]
-    state.given.add(("element", vertex.text))
-    if not state.keyword(toks[2], "normal"):
-        return
     normal = state.vector(toks[3:6], "normal")
-    if normal is None:
-        return
     reflection = state.build(toks[3], householder, normal)
     if reflection is None:
-        return
+        return None
     length = math.hypot(*normal)  # np.linalg.norm without its overhead, or overflow
     if abs(length - 1.0) > _UNIT_TOL:
         state.warning(toks[3], f"normal has length {length:.6g}; normalized to unit")
-    if vertex.text in state.elements:
-        state.duplicate(vertex, f"element at vertex {vertex.text!r}",
-                        state.elements[vertex.text])
-        return
-    element = OpticalElement(toks[0].text, reflection)
-    state.elements[vertex.text] = (toks, element)
+    return OpticalElement(toks[0].text, reflection)
 
 
 def _parse_arm(state: _ParseState, toks: list[_Token]):
-    pair = (toks[1].text, toks[2].text)
-    state.given.add(("arm", pair))
-    if not state.keyword(toks[3], "length"):
-        return
     length = state.number(toks[4], "arm length")
-    if length is None:
-        return
-    labelled = len(toks) == 7
-    label = toks[6].text if labelled else f"{pair[0]}_{pair[1]}"
-    arm = state.build(toks[4], Arm, length, label)
-    if arm is None or (labelled and not state.keyword(toks[5], "label")):
-        return
-    if pair in state.arms:
-        state.duplicate(toks[0], f"arm {pair[0]}->{pair[1]}", state.arms[pair])
-        return
-    state.arms[pair] = (toks, arm)
+    label = toks[6].text if len(toks) == 7 else f"{toks[1].text}_{toks[2].text}"
+    return state.build(toks[4], Arm, length, label)
 
 
 def _parse_source(state: _ParseState, toks: list[_Token]):
-    state.given.add(("source", None))
-    if state.source is not None:
-        state.duplicate(toks[0], "source", state.source)
-        return
-    if not state.keyword(toks[1], "momentum"):
-        return
     momentum = state.vector(toks[2:5], "momentum")
-    if not state.keyword(toks[5], "polarization"):
-        return
     polarization = state.vector(toks[6:9], "polarization")
-    if not state.keyword(toks[9], "width"):
-        return
     width = state.number(toks[10], "packet width")
     if momentum is None or polarization is None or width is None:
-        return
+        return None
     # PhotonMode takes a unit polarization only; the file may give any nonzero one
     pol_len = math.sqrt(polarization.dot(polarization))
     if pol_len == 0.0:
         state.error(toks[6], "polarization must be a nonzero vector")
-        return
+        return None
     if abs(pol_len - 1.0) > _UNIT_TOL:
         state.warning(toks[6], f"polarization has length {pol_len:.6g}; normalized to unit")
         polarization = polarization / pol_len
     mode = state.build(toks[2], PhotonMode, momentum, polarization)
-    if mode is not None:
-        state.source = (toks, mode, width)
+    return None if mode is None else (mode, width)
 
 
 def _parse_bomb(state: _ParseState, toks: list[_Token]):
-    if state.bomb is not None:
-        state.duplicate(toks[0], "bomb", state.bomb)
-        return
-    if not state.keyword(toks[1], "arm"):
-        return
-    efficiency = 1.0
-    if len(toks) == 5:
-        if not state.keyword(toks[3], "efficiency"):
-            return
-        efficiency = state.number(toks[4], "efficiency")
-        if efficiency is None:
-            return
-    obstruction = state.build(toks[-1], Obstruction, toks[2].text, efficiency)
-    if obstruction is not None:
-        state.bomb = (toks, obstruction)
+    efficiency = state.number(toks[4], "efficiency") if len(toks) == 5 else 1.0
+    return state.build(toks[-1], Obstruction, toks[2].text, efficiency)
 
 
 def _parse_detector(state: _ParseState, toks: list[_Token]):
-    name = toks[1]
-    if name.text not in ("D1", "D2"):
-        state.error(name, f"detector name must be D1 or D2, got {name.text!r}")
-        return
-    if not state.keyword(toks[2], "port"):
-        return
-    if name.text in state.detectors:
-        state.duplicate(name, f"detector {name.text}", state.detectors[name.text])
-        return
-    state.detectors[name.text] = (toks, toks[3].text)
+    name = toks[1].text
+    if name not in ("D1", "D2"):
+        state.error(toks[1], f"detector name must be D1 or D2, got {name!r}")
+        return None
+    return toks[3].text
 
 
-# The grammar: directive name -> (usage, accepted token counts, handler). A
-# line must match its usage exactly, with or without the bracketed tail.
-_DIRECTIVES = {
-    usage.split()[0]: (usage, (len(usage.partition("[")[0].split()), len(usage.split())),
-                       handler)
-    for usage, handler in (
-        ("vertex <id> <x> <y> <z>", _parse_vertex),
-        ("beamsplitter <vertex> normal <x> <y> <z>", _parse_element),
-        ("mirror <vertex> normal <x> <y> <z>", _parse_element),
-        ("arm <from> <to> length <L> [label <name>]", _parse_arm),
-        ("source momentum <x> <y> <z> polarization <x> <y> <z> width <sigma>",
-         _parse_source),
-        ("bomb arm <label> [efficiency <e>]", _parse_bomb),
-        ("detector <D1|D2> port <a|b>", _parse_detector),
-    )
-}
+_Directive = namedtuple("_Directive", "usage arities keywords piece repeat handler")
+
+
+def _directive(usage, piece, repeat, handler) -> tuple[str, _Directive]:
+    words = usage.replace("[", "").replace("]", "").split()
+    keywords = tuple((i, word) for i, word in enumerate(words) if i and word[0] != "<")
+    arities = (len(usage.partition("[")[0].split()), len(words))
+    return words[0], _Directive(usage, arities, keywords, piece, repeat, handler)
+
+
+# The grammar: directive name -> its usage, the `ConfigurationError.at` of the
+# piece a line defines (from the line's tokens), the token index and name that
+# a second definition of that piece is reported with, and the handler. A line
+# must match its usage exactly, with or without the bracketed tail; the
+# usage's plain words after the first are its keywords.
+_DIRECTIVES = dict(_directive(*entry) for entry in (
+    ("vertex <id> <x> <y> <z>", lambda t: ("vertex", t[1].text), (1, "vertex {1!r}"),
+     _parse_vertex),
+    ("beamsplitter <vertex> normal <x> <y> <z>", lambda t: ("element", t[1].text),
+     (1, "element at vertex {1!r}"), _parse_element),
+    ("mirror <vertex> normal <x> <y> <z>", lambda t: ("element", t[1].text),
+     (1, "element at vertex {1!r}"), _parse_element),
+    ("arm <from> <to> length <L> [label <name>]", lambda t: ("arm", (t[1].text, t[2].text)),
+     (0, "arm {1}->{2}"), _parse_arm),
+    ("source momentum <x> <y> <z> polarization <x> <y> <z> width <sigma>",
+     lambda t: ("source", None), (0, "source"), _parse_source),
+    ("bomb arm <label> [efficiency <e>]", lambda t: ("bomb", None), (0, "bomb"),
+     _parse_bomb),
+    ("detector <D1|D2> port <a|b>", lambda t: ("detector", t[1].text), (1, "detector {1}"),
+     _parse_detector),
+))
+
+
+def _read_line(state: _ParseState, toks: list[_Token]):
+    """Check one directive line in the grammar's order and record its piece."""
+    head = toks[0]
+    spec = _DIRECTIVES.get(head.text)
+    if spec is None:
+        state.error(head, f"unknown directive {head.text!r}")
+        return
+    if len(toks) not in spec.arities:
+        state.error(head, f"malformed directive: expected {spec.usage!r}")
+        return
+    at = spec.piece(toks)
+    earlier, built = state.records.get(at, (None, None))
+    if built is not None:
+        index, name = spec.repeat
+        state.error(toks[index], f"{name.format(*[t.text for t in toks])} already defined "
+                                 f"on line {earlier[0].line}")
+        return
+    for index, keyword in spec.keywords:
+        if index < len(toks) and toks[index].text != keyword:
+            state.error(toks[index], f"expected keyword {keyword!r}, found {toks[index].text!r}")
+            state.records[at] = (toks, None)
+            return
+    state.records[at] = (toks, spec.handler(state, toks))
 
 
 def _resolve(state: _ParseState, end_tok: _Token) -> dict:
@@ -276,18 +262,21 @@ def _resolve(state: _ParseState, end_tok: _Token) -> dict:
     find is reported at its directive, or at end_tok when a piece is
     missing. A piece whose directive was refused is not reported missing.
     """
-    for vid in [vid for vid in state.vertices if vid not in VERTEX_IDS]:
-        toks, _ = state.vertices.pop(vid)
-        state.warning(toks[1], f"vertex {vid!r} is outside the square topology; ignored")
-
-    ports = {name: port for name, (_, port) in state.detectors.items()}
+    built = defaultdict(dict)
+    for (kind, key), (toks, value) in state.records.items():
+        if value is None:
+            continue
+        if kind == "vertex" and key not in VERTEX_IDS:
+            state.warning(toks[1], f"vertex {key!r} is outside the square topology; ignored")
+        else:
+            built[kind][key] = value
+    ports = built["detector"]
     if len(ports) == 1:
         (name, port), = ports.items()
         ports["D2" if name == "D1" else "D1"] = "b" if port == "a" else "a"
-    _, source, width = state.source or (None, None, None)
-    pieces = dict(vertices=_objects(state.vertices), elements=_objects(state.elements),
-                  arms=_objects(state.arms), source=source, source_width=width,
-                  obstruction=state.bomb[1] if state.bomb else None,
+    source, width = built["source"].get(None, (None, None))
+    pieces = dict(vertices=built["vertex"], elements=built["element"], arms=built["arm"],
+                  source=source, source_width=width, obstruction=built["bomb"].get(None),
                   detectors=ports or {"D1": "a", "D2": "b"})
     for message, at in _structure_faults(**pieces):
         tok = _fault_token(state, at, end_tok)
@@ -296,15 +285,15 @@ def _resolve(state: _ParseState, end_tok: _Token) -> dict:
     return pieces
 
 
-# ConfigurationError position kind -> (parse-state records, token index)
+# ConfigurationError position kind -> (the kind of the piece's record, token index)
 _FAULT_TOKENS = {
-    "vertex": ("vertices", 1),
-    "element": ("elements", 3),
-    "element vertex": ("elements", 1),
-    "arm": ("arms", 0),
-    "arm label": ("arms", 6),
+    "vertex": ("vertex", 1),
+    "element": ("element", 3),
+    "element vertex": ("element", 1),
+    "arm": ("arm", 0),
+    "arm label": ("arm", 6),
     "bomb": ("bomb", 2),
-    "detector": ("detectors", 3),
+    "detector": ("detector", 3),
     "source": ("source", 2),
     "width": ("source", 10),
 }
@@ -318,20 +307,15 @@ def _fault_token(state: _ParseState, at, default: _Token) -> _Token | None:
     """
     if at is None:
         return default
-    kind, key = at
-    records, index = _FAULT_TOKENS[kind]
-    record = getattr(state, records)
-    if key is not None:
-        record = record.get(key)
+    kind, index = _FAULT_TOKENS[at[0]]
+    record = state.records.get((kind, at[1]))
     if record is None:
-        return None if at in state.given else default
-    toks = record[0]
+        return default
+    toks, built = record
+    if built is None:
+        return None
     # an unlabeled arm's label comes from its directive as a whole
     return toks[index] if index < len(toks) else toks[0]
-
-
-def _objects(records: dict) -> dict:
-    return {key: record[1] for key, record in records.items()}
 
 
 def parse_layout(text: str) -> LayoutDocument:
@@ -342,18 +326,8 @@ def parse_layout(text: str) -> LayoutDocument:
         body = raw.split("#", 1)[0]
         toks = [_Token(m.group(), lineno, m.start() + 1)
                 for m in _TOKEN_RE.finditer(body)]
-        if not toks:
-            continue
-        head = toks[0]
-        spec = _DIRECTIVES.get(head.text)
-        if spec is None:
-            state.error(head, f"unknown directive {head.text!r}")
-            continue
-        usage, arities, handler = spec
-        if len(toks) not in arities:
-            state.error(head, f"malformed directive: expected {usage!r}")
-            continue
-        handler(state, toks)
+        if toks:
+            _read_line(state, toks)
 
     end_tok = _Token("", max(1, len(lines)), 1)
     pieces = _resolve(state, end_tok)

@@ -54,6 +54,7 @@ from .optics import (
     GaussianPacket,
     OpticalElement,
     PhotonMode,
+    _Rebuilt,
     _read_only,
     householder,
     locality_check,
@@ -204,7 +205,7 @@ _Geometry = namedtuple("_Geometry", "routing packets split mirror merge momenta 
 
 
 @dataclass(frozen=True, eq=False)
-class Layout:
+class Layout(_Rebuilt):
     """Complete description of one interferometer configuration.
 
     vertices maps the four ids to positions; elements maps each vertex to

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -32,6 +33,19 @@ def _read_only(value) -> np.ndarray:
     return arr
 
 
+class _Rebuilt:
+    """Base of the values that pickling and copying rebuild through their constructor.
+
+    Their checks then run again and their arrays come back read-only,
+    which restoring the instance dictionary would not give; a mapping
+    travels as a plain dict.
+    """
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(dict(a) if isinstance(a, Mapping) else a for a in args)
+
+
 def _as_vec3(value, what: str) -> np.ndarray:
     arr = _read_only(value)
     if arr.shape != (3,):
@@ -42,7 +56,7 @@ def _as_vec3(value, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PhotonMode:
+class PhotonMode(_Rebuilt):
     """A single-photon mode label: momentum 3-vector plus transverse polarization.
 
     The polarization must be a unit vector orthogonal to the momentum;
@@ -79,7 +93,7 @@ class PhotonMode:
 
 
 @dataclass(frozen=True, eq=False)
-class HouseholderReflection:
+class HouseholderReflection(_Rebuilt):
     """Reflection through the plane orthogonal to a unit normal."""
 
     normal: np.ndarray
@@ -166,7 +180,7 @@ def port_matrix(element: OpticalElement) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianPacket:
+class GaussianPacket(_Rebuilt):
     """Gaussian envelope of a branch: center position, common width, carrier mode."""
 
     center: np.ndarray

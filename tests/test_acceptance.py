@@ -209,7 +209,7 @@ def test_criterion_10_layout_text_round_trip_and_diagnostics(tmp_path):
     target.write_text(bad, encoding="utf-8")
     result = subprocess.run(
         [sys.executable, "-m", "ifmsim.cli", "simulate", str(target)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 1
     assert f"{target}:6:19: error: degenerate normal" in result.stderr
     print("[PASS] criterion 10: bundled layouts round-trip byte for byte; a "

@@ -259,6 +259,28 @@ def test_soft_legs_file_shape_checked(tmp_path, capsys):
     assert "pairwise_beta" in err
 
 
+_PAIRWISE = [[0.0, 0.5], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"legs": {"a": 1}, "pairwise_beta": [[0]]}, "'legs' must be a list of objects"),
+    ({"legs": [1, 2], "pairwise_beta": _PAIRWISE}, "leg 0 must be an object"),
+    ({"legs": [{"charge": 1.0, "eta": -1, "velocity": 0.0}, {"charge": 1.0, "eta": 1}],
+      "pairwise_beta": _PAIRWISE}, "leg 1 has no 'velocity'"),
+    ({"legs": [{"eta": -1, "velocity": 0.0}], "pairwise_beta": [[0.0]]}, "leg 0 has no 'charge'"),
+    (7, "must hold keys 'legs' and 'pairwise_beta'"),
+], ids=["legs-not-a-list", "leg-not-an-object", "leg-without-velocity",
+        "leg-without-charge", "payload-not-an-object"])
+def test_soft_malformed_legs_file_refused_at_the_boundary(tmp_path, capsys, payload, message):
+    target = tmp_path / "legs.json"
+    target.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = invoke(capsys, "soft", "--legs", str(target), "--e-minus", "0.001",
+                            "--e-plus", "1.0", "--solid-angle", "1.0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_soft_divergent_inputs_fail(capsys):
     base = ["--e-minus", "0.001", "--e-plus", "1.0", "--solid-angle", "1.0"]
     code, _, err = invoke(capsys, "soft", "--beta", "1.0", *base)
@@ -384,7 +406,7 @@ def test_bad_arguments_exit_one(capsys):
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "ifmsim.cli", "simulate", "mzi_bomb.ifm"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 0
     assert json.loads(result.stdout)["p_absorbed"] == pytest.approx(0.5, abs=1e-12)
 
@@ -392,7 +414,7 @@ def test_module_entry_point_runs():
 def test_module_entry_point_error_path():
     result = subprocess.run(
         [sys.executable, "-m", "ifmsim.cli", "shots", "mzi.ifm", "--n", "-5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 1
     assert "error:" in result.stderr
 
@@ -403,5 +425,5 @@ def test_import_does_not_load_scipy():
     result = subprocess.run(
         [sys.executable, "-c",
          "import ifmsim, ifmsim.cli, sys; assert 'scipy' not in sys.modules"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     assert result.returncode == 0, result.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +308,84 @@ def test_malformed_arity_reported():
     assert any("expected" in d.message for d in doc.errors)
     doc = parse_layout("arm L11 L12 span 1\n")
     assert any("keyword 'length'" in d.message for d in doc.errors)
+
+
+KEYWORDS = {"normal", "length", "label", "momentum", "polarization", "width", "arm",
+            "efficiency", "port"}
+
+
+def _keyword_tokens():
+    """(file, line, column, keyword) for every keyword token of the bundled
+    layouts: all of mzi.ifm, and the bomb line of mzi_bomb.ifm."""
+    for name in ("mzi.ifm", "mzi_bomb.ifm"):
+        for lineno, line in enumerate(read_text(name).splitlines(), start=1):
+            if name == "mzi_bomb.ifm" and not line.startswith("bomb "):
+                continue
+            for index, match in enumerate(re.finditer(r"\S+", line)):
+                if index and match.group() in KEYWORDS:
+                    yield name, lineno, match.start() + 1, match.group()
+
+
+KEYWORD_TOKENS = list(_keyword_tokens())
+
+
+def test_keyword_tokens_cover_every_keyword():
+    assert {keyword for *_, keyword in KEYWORD_TOKENS} == KEYWORDS
+
+
+@pytest.mark.parametrize("name, line, column, keyword", KEYWORD_TOKENS,
+                         ids=[f"{n}:{l}:{c}" for n, l, c, _ in KEYWORD_TOKENS])
+def test_wrong_keyword_is_the_lines_only_error(name, line, column, keyword):
+    lines = read_text(name).splitlines()
+    text = lines[line - 1]
+    lines[line - 1] = text[:column - 1] + "nrm" + text[column - 1 + len(keyword):]
+    doc = parse_layout("\n".join(lines) + "\n")
+    assert doc.layout is None
+    # refused at that token, and its piece is not also reported missing
+    assert [str(d) for d in doc.errors] == [
+        f"{line}:{column}: error: expected keyword {keyword!r}, found 'nrm'"]
+
+
+TWO_FAULT_LINES = [
+    # (replaced text, replacement, the line's one diagnostic): a line is checked
+    # for its arity, then for a second definition of its piece, then for its
+    # keywords, and only then are its values read
+    (None, "mirror L12 normal 0 0 0",
+     "16:8: error: element at vertex 'L12' already defined on line 6"),
+    (None, "mirror L12 normal 2 0 0",
+     "16:8: error: element at vertex 'L12' already defined on line 6"),
+    (None, "arm L11 L12 length -1", "16:1: error: arm L11->L12 already defined on line 9"),
+    (None, "source mom 1 0 0 polarization 0 0 1 width 1",
+     "16:1: error: source already defined on line 13"),
+    (None, "detector D1 prt a", "16:10: error: detector D1 already defined on line 14"),
+    ("source momentum 1 0 0 polarization", "source momentum x 0 0 pol",
+     "13:23: error: expected keyword 'polarization', found 'pol'"),
+    ("arm L11 L12 length 1 label lower", "arm L11 L12 length x lbl lower",
+     "9:22: error: expected keyword 'label', found 'lbl'"),
+    ("detector D1 port a", "detector D3 prt a",
+     "14:13: error: expected keyword 'port', found 'prt'"),
+]
+
+
+@pytest.mark.parametrize("old, new, diagnostic", TWO_FAULT_LINES,
+                         ids=["duplicate-zero-normal", "duplicate-non-unit-normal",
+                              "duplicate-bad-length", "duplicate-bad-keyword",
+                              "duplicate-detector-bad-keyword", "keyword-and-value",
+                              "keyword-and-length", "keyword-and-detector-name"])
+def test_two_fault_line_reports_its_first_fault(old, new, diagnostic):
+    text = read_text("mzi.ifm")
+    text = text + new + "\n" if old is None else text.replace(old, new)
+    doc = parse_layout(text)
+    assert doc.layout is None
+    assert [str(d) for d in doc.diagnostics] == [diagnostic]
+
+
+def test_piece_redefined_after_a_refused_line_is_not_a_duplicate():
+    # the refused line defined nothing, so the later line is the definition
+    text = read_text("mzi.ifm").replace("vertex L12 1 0 0", "vertex L12 1 0 x")
+    doc = parse_layout(text + "vertex L12 1 0 0\n")
+    assert [str(d) for d in doc.diagnostics] == [
+        "2:16: error: malformed vertex position component: 'x' is not a number"]
 
 
 @pytest.mark.parametrize("old, new, line", [

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 import warnings
 from collections.abc import Mapping
@@ -26,6 +28,7 @@ from ifmsim import (
     v_unitary,
     with_obstruction,
 )
+from ifmsim.optics import GaussianPacket, HouseholderReflection
 
 ORACLE_HALF_EFFICIENCY = (0.25, 0.7285533905932738, 0.021446609406726238)
 
@@ -325,6 +328,33 @@ def test_built_layout_is_immutable(square):
     position[0] = 5.0
     assert layout.vertices["L12"][0] == 1.0
     assert propagate_analytic(layout).p_d1 == propagate_analytic(square).p_d1
+
+
+def _copies(value):
+    yield "pickle", pickle.loads(pickle.dumps(value))
+    yield "deepcopy", copy.deepcopy(value)
+
+
+def test_values_survive_pickle_and_deepcopy(square):
+    layout = with_obstruction(replace(square, detectors={"D1": "b", "D2": "a"}), "lower", 0.5)
+    mode = layout.source
+    values = [mode, layout.elements["L11"].reflection,
+              GaussianPacket((0.5, 0.0, 0.0), 0.05, mode), layout]
+    for value in values:
+        for how, again in _copies(value):
+            assert type(again) is type(value) and again == value, how
+            # rebuilt through the constructor, so the arrays are read-only again
+            writable = [path for path, array in _reachable_arrays(again) if _accepts_write(array)]
+            assert writable == [], (how, writable)
+    expected = propagate_analytic(layout)
+    for how, again in _copies(layout):
+        assert again.detectors == {"D1": "b", "D2": "a"}
+        report = propagate_analytic(again)
+        assert report.p_d2 == expected.p_d2 and report.p_absorbed == expected.p_absorbed
+        assert (report.p_d1, report.amplitude_d1) == (expected.p_d1, expected.amplitude_d1)
+        np.testing.assert_array_equal(report.momentum_d1, expected.momentum_d1)
+        np.testing.assert_array_equal(report.momentum_d2, expected.momentum_d2)
+        assert report.event.arm == expected.event.arm
 
 
 def test_report_does_not_alias_the_layout(bomb_layout):

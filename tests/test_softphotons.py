@@ -20,7 +20,7 @@ from ifmsim import (
     weinberg_factor_general,
     with_obstruction,
 )
-from ifmsim.softphotons import _arctanh_over_beta_excess
+from ifmsim.softphotons import SERIES_BETA_CROSSOVER, _arctanh_over_beta_excess
 
 mp.mp.dps = 50
 
@@ -44,13 +44,20 @@ def test_fermion_factor_frozen_value():
 
 
 def test_fermion_factor_small_beta_series_branch():
-    # the series branch must join the atanh branch smoothly at the crossover
     for beta in (1e-9, 1e-6, 9.9e-5):
         got = weinberg_factor_fermion(beta)
         assert abs(got - _fermion_oracle(beta)) < 1e-24
-    below = weinberg_factor_fermion(0.99e-4)
-    above = weinberg_factor_fermion(1.01e-4)
-    assert 0 < below < above
+    # the series branch must join the atanh branch at the crossover: the last
+    # series point and the first atanh point both keep their digits
+    crossover = SERIES_BETA_CROSSOVER
+    for beta in (math.nextafter(crossover, 0.0), crossover):
+        expected = _fermion_oracle(beta)
+        assert abs(weinberg_factor_fermion(beta) - expected) <= 5e-15 * expected
+    # and rise through it. Adjacent doubles differ by less than that tolerance,
+    # and the atanh branch is not monotone at that scale, so order is checked
+    # 1e-13 apart, where the factor moves by about 5e-13 of itself
+    below, at, above = (weinberg_factor_fermion(crossover + d) for d in (-1e-13, 0.0, 1e-13))
+    assert 0 < below < at < above
 
 
 def test_arctanh_excess_keeps_its_digits_on_a_geometric_grid():
