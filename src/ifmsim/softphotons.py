@@ -31,6 +31,7 @@ so the probability budget still closes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,13 @@ SERIES_BETA_CROSSOVER = 0.5
 _TWO_PI_SQ = (2.0 * math.pi) ** 2
 
 
+def _real(value, name: str) -> float:
+    """value as a float; anything but a real number, a bool included, is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+
+
 @dataclass
 class ProcessLeg:
     """One external charged leg: charge, direction flag, and speed.
@@ -63,13 +71,13 @@ class ProcessLeg:
     velocity: float
 
     def __post_init__(self):
-        self.charge = float(self.charge)
+        self.charge = _real(self.charge, "leg charge")
         if not math.isfinite(self.charge):
             raise ValueError(f"leg charge must be finite, got {self.charge}")
         self.eta = integer(self.eta, "eta")
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 (outgoing) or -1 (incoming), got {self.eta}")
-        self.velocity = float(self.velocity)
+        self.velocity = _real(self.velocity, "leg velocity")
         if not self.velocity >= 0.0:
             raise ValueError(f"leg velocity must be nonnegative, got {self.velocity}")
         if self.velocity >= 1.0:
@@ -180,7 +188,9 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
             f"charge conservation requires sum eta_n q_n = 0, got {net_charge:g}; "
             "the soft-photon factor is defined only for charge-conserving processes"
         )
-    beta = np.asarray(pairwise_beta, dtype=float)
+    entries = np.asarray(pairwise_beta, dtype=object)
+    beta = np.reshape([_real(b, "pairwise_beta entry") for b in entries.flat],
+                      entries.shape)
     n = len(legs)
     if beta.shape != (n, n):
         raise ValueError(

@@ -108,6 +108,14 @@ def test_shots_payload_and_schema(capsys):
                        "counts": {"d1": 1000, "d2": 0, "absorbed": 0}}
 
 
+def test_shots_golden_run_on_the_bomb(capsys):
+    # pinned from the sampler as released; a change that moves any shot's
+    # outcome moves these counts
+    code, out, _ = invoke(capsys, "shots", "mzi_bomb.ifm", "--n", "1000000", "--seed", "42")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"d1": 250115, "d2": 249936, "absorbed": 499949}
+
+
 def test_shots_seed_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("IFM_SEED", "42")
     code, out, _ = invoke(capsys, "shots", "mzi_bomb.ifm", "--n", "500")
@@ -269,8 +277,19 @@ _PAIRWISE = [[0.0, 0.5], [0.5, 0.0]]
       "pairwise_beta": _PAIRWISE}, "leg 1 has no 'velocity'"),
     ({"legs": [{"eta": -1, "velocity": 0.0}], "pairwise_beta": [[0.0]]}, "leg 0 has no 'charge'"),
     (7, "must hold keys 'legs' and 'pairwise_beta'"),
+    ({"legs": [{"charge": [1], "eta": -1, "velocity": 0.0}], "pairwise_beta": [[0.0]]},
+     "leg charge must be a real number, got list [1]"),
+    ({"legs": [{"charge": 1.0, "eta": -1, "velocity": None}], "pairwise_beta": [[0.0]]},
+     "leg velocity must be a real number, got NoneType None"),
+    ({"legs": [{"charge": True, "eta": -1, "velocity": 0.0}], "pairwise_beta": [[0.0]]},
+     "leg charge must be a real number, got bool True"),
+    ({"legs": [{"charge": 1.0, "eta": -1, "velocity": 0.0},
+               {"charge": 1.0, "eta": 1, "velocity": 0.5}],
+      "pairwise_beta": [[0.0, {}], [0.5, 0.0]]},
+     "pairwise_beta entry must be a real number, got dict {}"),
 ], ids=["legs-not-a-list", "leg-not-an-object", "leg-without-velocity",
-        "leg-without-charge", "payload-not-an-object"])
+        "leg-without-charge", "payload-not-an-object", "charge-a-list",
+        "velocity-null", "charge-a-bool", "pairwise-entry-an-object"])
 def test_soft_malformed_legs_file_refused_at_the_boundary(tmp_path, capsys, payload, message):
     target = tmp_path / "legs.json"
     target.write_text(json.dumps(payload), encoding="utf-8")

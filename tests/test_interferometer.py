@@ -495,35 +495,83 @@ def test_shots_accept_seed_range_ends(bomb_layout, seed):
     assert run_shots(bomb_layout, 1000, seed).total == 1000
 
 
-@pytest.mark.parametrize("efficiency", [0.6, None])
-def test_shot_stream_contract_from_first_principles(square, efficiency, monkeypatch):
+@pytest.mark.parametrize("efficiency, variant", [
+    pytest.param(0.6, None, id="0.6"),
+    pytest.param(None, None, id="None"),
+    pytest.param(1.0, None, id="1.0"),
+    # p_d1 = 4.9e-32 gives L = ceil(p_d1 2**53) = 1, so only words below 2**11
+    # reach D1, and p_d1 + p_d2 = 1.0 gives the L = 2**53 that admits every word
+    pytest.param(None, "swapped", id="swapped"),
+    # no layout gives p_d1 = 0 exactly, the L = 0 that admits no word
+    pytest.param(0.6, "no-d1", id="no-d1"),
+])
+def test_shot_stream_contract_from_first_principles(square, efficiency, variant, monkeypatch):
     # shot s reads word s of the plain Philox random_raw stream keyed by the
     # seed, and lands in D1, D2 or the absorber by u = (w >> 11) 2**-53
     layout = square if efficiency is None else with_obstruction(square, "lower", efficiency)
+    if variant == "swapped":
+        layout = replace(layout, detectors={"D1": "b", "D2": "a"})
+    elif variant == "no-d1":
+        emptied = replace(propagate_analytic(layout), p_d1=0.0)
+        monkeypatch.setattr(interferometer, "propagate_analytic", lambda _: emptied)
     n, seed = 2 * 65536 + 5, 2024
-    report = propagate_analytic(layout)
+    report = interferometer.propagate_analytic(layout)
     t1, t2 = report.p_d1, report.p_d1 + report.p_d2
     u = (np.random.Philox(key=seed).random_raw(n) >> np.uint64(11)) * 2.0**-53
     outcome = (u >= t1).astype(np.int64) + (u >= t2)
     # running (d1, d2, absorbed) tallies over shots 0..s-1, for s = 0..n
     upto = np.vstack(([0, 0, 0], np.cumsum(np.eye(3, dtype=np.int64)[outcome], axis=0)))
     whole = tuple(upto[n].tolist())
-    if efficiency is None:
+    if efficiency is None and variant is None:
         assert t2 == 1.0 and whole == (n, 0, 0)
+    if variant == "swapped":
+        assert 0.0 < t1 * 2.0**53 <= 1.0 and t2 == 1.0 and whole == (0, n, 0)
+    if variant == "no-d1":
+        assert t1 == 0.0 and whole[0] == 0 < whole[1]
     # windows of 999 and 4097 shots start off multiples of 4
-    for chunk in (999, 4097, n):
-        monkeypatch.setattr(interferometer, "SHOT_CHUNK", chunk)
-        counts = run_shots(layout, n, seed)
-        assert (counts.d1, counts.d2, counts.absorbed) == whole
-    monkeypatch.undo()
-    # batches of 3 and 5 start off multiples of 4, and 100 000 spans two windows
-    for batch_size in (1, 3, 5, 4096, 100_000):
+    with monkeypatch.context() as chunked:
+        for chunk in (999, 4097, n):
+            chunked.setattr(interferometer, "SHOT_CHUNK", chunk)
+            counts = run_shots(layout, n, seed)
+            assert (counts.d1, counts.d2, counts.absorbed) == whole
+    # batches of 3 and 5 start off multiples of 4, 100 000 spans two windows,
+    # and 65 536 and 65 537 end on and just past a window's edge
+    for batch_size in (1, 3, 5, 4096, 100_000, 65536, 65537):
         rows = shot_batches(layout, n, seed, batch_size)
         starts = np.arange(0, n, batch_size)
         assert [start for start, _ in rows] == starts.tolist()
         got = [(c.d1, c.d2, c.absorbed) for _, c in rows]
         expected = upto[np.minimum(starts + batch_size, n)] - upto[starts]
         assert got == [tuple(row) for row in expected.tolist()]
+
+
+def test_shot_thresholds_split_words_exactly_at_their_edges(bomb_layout, monkeypatch):
+    # a word w lands below t when u = (w >> 11) 2**-53 < t; feed the sampler
+    # the words on either side of each threshold's edge and both ends of 64 bits
+    report = propagate_analytic(bomb_layout)
+    t1, t2 = report.p_d1, report.p_d1 + report.p_d2
+    edges = [math.ceil(t * 2.0**53) << 11 for t in (t1, t2)]
+    words = np.array([0, 2**64 - 1] + [e + d for e in edges for d in (-1, 0, 1)],
+                     dtype=np.uint64)
+    u = (words >> np.uint64(11)) * 2.0**-53
+    assert all(u[u < t].max() < t <= u[u >= t].min() for t in (t1, t2))
+    outcome = (u >= t1).astype(np.int64) + (u >= t2)
+
+    class Words:
+        def __init__(self, key):
+            self.left = words
+
+        def random_raw(self, size):
+            out, self.left = self.left[:size].copy(), self.left[size:]
+            return out
+
+    monkeypatch.setattr(np.random, "Philox", Words)
+    monkeypatch.setattr(interferometer, "SHOT_CHUNK", 3)
+    counts = run_shots(bomb_layout, len(words), 0)
+    assert [counts.d1, counts.d2, counts.absorbed] == np.bincount(outcome, minlength=3).tolist()
+    rows = shot_batches(bomb_layout, len(words), 0, 4)
+    assert [[c.d1, c.d2, c.absorbed] for _, c in rows] == [
+        np.bincount(outcome[start:start + 4], minlength=3).tolist() for start, _ in rows]
 
 
 def test_shot_batches_memory_is_bounded_whatever_the_batch_size(bomb_layout):
