@@ -475,21 +475,15 @@ def _sample_batches(layout: Layout, n_shots: int, seed: int,
         raise ValueError(f"seed must be a 64-bit key in [0, 2**64), got {seed}")
     report = propagate_analytic(layout)
     starts = np.arange(0, n_shots, batch_size)
-    sizes = np.minimum(batch_size, n_shots - starts)
     below = np.zeros((2, len(starts)), dtype=np.int64)
     # for a 53-bit k, k * 2**-53 < t exactly when k < L = ceil(t * 2**53), and
-    # for a word w, k = w >> 11 < L exactly when w < L * 2**11, so words are
-    # compared unshifted; L >= 2**53 (t at or above 1) admits every word but
-    # L * 2**11 does not fit 64 bits, and L = 0 admits none, so neither is
-    # compared. L * 2**11 is formed on Python ints: numpy 1.24 turns uint64
-    # arithmetic with a signed int into float64
+    # for a word w, k = w >> 11 < L exactly when w <= L * 2**11 - 1, so words
+    # are compared unshifted; L = 0 admits no word and is not compared
     cuts = []
     for row, t in zip(below, (report.p_d1, report.p_d1 + report.p_d2)):
-        limit = math.ceil(t * 2.0**53)
-        if limit >= 2**53:
-            row[:] = sizes
-        elif limit:
-            cuts.append((row, np.uint64(limit << 11)))
+        limit = min(math.ceil(t * 2.0**53), 2**53)
+        if limit:
+            cuts.append((row, np.uint64((limit << 11) - 1)))
     words = np.random.Philox(key=seed)
     for start in range(0, n_shots, SHOT_CHUNK):
         stop = min(start + SHOT_CHUNK, n_shots)
@@ -497,14 +491,14 @@ def _sample_batches(layout: Layout, n_shots: int, seed: int,
         first, last = start // batch_size, (stop - 1) // batch_size + 1
         for row, cut in cuts:
             if last - first == 1:  # always so for run_shots
-                row[first] += np.count_nonzero(raw < cut)
+                row[first] += np.count_nonzero(raw <= cut)
             else:
                 # the first batch may have begun in an earlier window
                 row[first:last] += np.add.reduceat(
-                    raw < cut, np.maximum(starts[first:last] - start, 0))
+                    raw <= cut, np.maximum(starts[first:last] - start, 0))
+    sizes = np.minimum(batch_size, n_shots - starts).tolist()
     return [(start, ShotCounts(d1, d12 - d1, size - d12))
-            for start, d1, d12, size in zip(starts.tolist(), *below.tolist(),
-                                             sizes.tolist())]
+            for start, d1, d12, size in zip(starts.tolist(), *below.tolist(), sizes)]
 
 
 def shot_batches(layout: Layout, n_shots: int, seed: int,

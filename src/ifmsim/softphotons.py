@@ -189,13 +189,12 @@ def weinberg_factor_general(legs, pairwise_beta) -> float:
             "the soft-photon factor is defined only for charge-conserving processes"
         )
     entries = np.asarray(pairwise_beta, dtype=object)
-    beta = np.reshape([_real(b, "pairwise_beta entry") for b in entries.flat],
-                      entries.shape)
     n = len(legs)
-    if beta.shape != (n, n):
+    if entries.shape != (n, n):
         raise ValueError(
-            f"pairwise_beta must be {n}x{n} for {n} legs, got shape {beta.shape}"
+            f"pairwise_beta must be {n}x{n} for {n} legs, got shape {entries.shape}"
         )
+    beta = np.reshape([_real(b, "pairwise_beta entry") for b in entries.flat], (n, n))
     if not np.array_equal(beta, beta.T):
         raise ValueError("pairwise_beta must be symmetric")
     if np.any(np.diag(beta) != 0.0):

@@ -287,9 +287,14 @@ _PAIRWISE = [[0.0, 0.5], [0.5, 0.0]]
                {"charge": 1.0, "eta": 1, "velocity": 0.5}],
       "pairwise_beta": [[0.0, {}], [0.5, 0.0]]},
      "pairwise_beta entry must be a real number, got dict {}"),
+    ({"legs": [{"charge": 1.0, "eta": -1, "velocity": 0.0},
+               {"charge": 1.0, "eta": 1, "velocity": 0.5}],
+      "pairwise_beta": [[0.0, 0.5], [0.5]]},
+     "pairwise_beta must be 2x2 for 2 legs, got shape (2,)"),
 ], ids=["legs-not-a-list", "leg-not-an-object", "leg-without-velocity",
         "leg-without-charge", "payload-not-an-object", "charge-a-list",
-        "velocity-null", "charge-a-bool", "pairwise-entry-an-object"])
+        "velocity-null", "charge-a-bool", "pairwise-entry-an-object",
+        "pairwise-ragged"])
 def test_soft_malformed_legs_file_refused_at_the_boundary(tmp_path, capsys, payload, message):
     target = tmp_path / "legs.json"
     target.write_text(json.dumps(payload), encoding="utf-8")
