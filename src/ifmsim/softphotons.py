@@ -58,7 +58,7 @@ def _real(value, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessLeg:
     """One external charged leg: charge, direction flag, and speed.
 
@@ -71,13 +71,13 @@ class ProcessLeg:
     velocity: float
 
     def __post_init__(self):
-        self.charge = _real(self.charge, "leg charge")
+        object.__setattr__(self, "charge", _real(self.charge, "leg charge"))
         if not math.isfinite(self.charge):
             raise ValueError(f"leg charge must be finite, got {self.charge}")
-        self.eta = integer(self.eta, "eta")
+        object.__setattr__(self, "eta", integer(self.eta, "eta"))
         if self.eta not in (-1, 1):
             raise ValueError(f"eta must be +1 (outgoing) or -1 (incoming), got {self.eta}")
-        self.velocity = _real(self.velocity, "leg velocity")
+        object.__setattr__(self, "velocity", _real(self.velocity, "leg velocity"))
         if not self.velocity >= 0.0:
             raise ValueError(f"leg velocity must be nonnegative, got {self.velocity}")
         if self.velocity >= 1.0:
@@ -87,7 +87,7 @@ class ProcessLeg:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoftWindow:
     """Detected-photon energy window [e_minus, e_plus].
 
@@ -100,8 +100,8 @@ class SoftWindow:
     e_plus: float
 
     def __post_init__(self):
-        self.e_minus = float(self.e_minus)
-        self.e_plus = float(self.e_plus)
+        object.__setattr__(self, "e_minus", float(self.e_minus))
+        object.__setattr__(self, "e_plus", float(self.e_plus))
         if not math.isfinite(self.e_minus):
             raise ValueError(f"window lower edge must be finite, got {self.e_minus}")
         if not self.e_minus > 0.0:
@@ -236,7 +236,7 @@ def mean_photons(factor: float, window: SoftWindow) -> float:
     return factor * window.log_ratio
 
 
-@dataclass
+@dataclass(frozen=True)
 class PollutionConfig:
     """Angular acceptance of a detector for stray soft photons.
 
@@ -247,7 +247,7 @@ class PollutionConfig:
     solid_angle_fraction: float
 
     def __post_init__(self):
-        self.solid_angle_fraction = float(self.solid_angle_fraction)
+        object.__setattr__(self, "solid_angle_fraction", float(self.solid_angle_fraction))
         if not 0.0 < self.solid_angle_fraction <= 1.0:
             raise ValueError(
                 f"solid angle fraction must lie in (0, 1], got {self.solid_angle_fraction}"

@@ -90,6 +90,14 @@ def test_byte_budget_bounds_dense_operators():
     assert build_space(("p", "q"), 28).dim == 841
 
 
+def test_byte_budget_edge():
+    # 2**27 bytes holds a dense operator of dim 2896; n_max 52 gives dim
+    # 2809 (126 247 696 bytes), n_max 53 gives dim 2916, just over
+    assert build_space(("p", "q"), 52).dim == 2809
+    with pytest.raises(ValueError, match="54\\^2 = 2916 needs 136048896 bytes"):
+        build_space(("p", "q"), 53)
+
+
 def test_ladder_matrix_elements(two_mode_space):
     a = ladder(two_mode_space, "p", "lowering")
     # a |n, 0> = sqrt(n) |n-1, 0>

@@ -357,6 +357,17 @@ def test_values_survive_pickle_and_deepcopy(square):
         assert report.event.arm == expected.event.arm
 
 
+def test_detector_momenta_follow_the_detectors(square):
+    # port a leaves L22 along +x and port b along +y; with D1 on port b,
+    # D1 must report port b's momentum, not the first port's
+    plain = propagate_analytic(with_obstruction(square, "lower", 0.5))
+    swapped = propagate_analytic(
+        with_obstruction(replace(square, detectors={"D1": "b", "D2": "a"}), "lower", 0.5))
+    assert np.argmax(plain.momentum_d1) == 0 and np.argmax(plain.momentum_d2) == 1
+    np.testing.assert_array_equal(swapped.momentum_d1, plain.momentum_d2)
+    np.testing.assert_array_equal(swapped.momentum_d2, plain.momentum_d1)
+
+
 def test_report_does_not_alias_the_layout(bomb_layout):
     first = propagate_analytic(bomb_layout)
     momenta = first.momentum_d1.copy(), first.momentum_d2.copy()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import mpmath as mp
 import numpy as np
@@ -315,3 +316,14 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_inputs_refused_naming_the_parameter(call, parameter):
     with pytest.raises(ValueError, match=parameter):
         call()
+
+
+@pytest.mark.parametrize("value", [ProcessLeg(1.0, 1, 0.5), SoftWindow(0.001, 1.0),
+                                   PollutionConfig(0.5)], ids=lambda v: type(v).__name__)
+def test_soft_values_are_frozen(value):
+    # a field set after construction would skip the checks in __post_init__
+    before = repr(value)
+    for field in fields(value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field.name, -3.0)
+    assert repr(value) == before

@@ -1,8 +1,11 @@
 import io
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ifmsim import verify
+from ifmsim import fock, verify
 from ifmsim.optics import HouseholderReflection, PhotonMode, householder
 
 
@@ -55,3 +58,52 @@ def test_optics_checks_test_the_library_photon_mode(monkeypatch):
     buffer = io.StringIO()
     assert not verify.run_verification(buffer)
     assert "[FAIL] reflection preserves |p|: " in buffer.getvalue()
+
+
+POWER = "sector blocks equal the symmetric power of the two-port rotation"
+_block = fock._sector_block
+_eigensystem = fock.FockSpace._sector_eigensystem
+_positions = fock._pair_positions
+
+
+def _skewed_hop(space, total):
+    # the first hopping amplitude of each sector's generator, 1% too large
+    n_p, lam, u = _eigensystem(space, total)
+    generator = (u * lam) @ u.conj().T
+    generator[0, 1:2] *= 1.01
+    generator[1:2, 0] *= 1.01
+    return (n_p, *np.linalg.eigh(generator))
+
+
+def _transposed(space, total, alpha):
+    total, n_p, block = _block(space, total, alpha)
+    return total, n_p, block.T
+
+
+# fault -> (owner, name, replacement); abs(alpha) shows only at the
+# line's negative angle, and no other line sees the strides swap
+SECTOR_FAULTS = {
+    "hopping amplitude x1.01": (fock.FockSpace, "_sector_eigensystem", _skewed_hop),
+    "angle x1.01": (fock, "_sector_block", lambda s, t, a: _block(s, t, 1.01 * a)),
+    "angle sign flipped": (fock, "_sector_block", lambda s, t, a: _block(s, t, -a)),
+    "transposed sector block": (fock, "_sector_block", _transposed),
+    "abs(alpha)": (fock, "_sector_block", lambda s, t, a: _block(s, t, abs(a))),
+    "p and q strides swapped": (fock, "_pair_positions",
+                                lambda s, pair: _positions(s, pair)[::-1]),
+}
+
+
+@pytest.mark.parametrize("fault", SECTOR_FAULTS)
+def test_symmetric_power_line_catches_sector_faults(fault, monkeypatch):
+    owner, name, replacement = SECTOR_FAULTS[fault]
+    monkeypatch.setattr(owner, name, replacement)
+    buffer = io.StringIO()
+    assert not verify.run_verification(buffer)
+    assert f"[FAIL] {POWER}: " in buffer.getvalue()
+
+
+def test_readme_lists_the_verify_lines_in_order():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Verification and tests\n", 1)[1]
+    listed = re.findall(r"^\d+\. `(.+)`$", section.split("\n## ", 1)[0], flags=re.MULTILINE)
+    assert listed == [result.name for result in verify.run_checks()]
