@@ -55,6 +55,23 @@ def _as_vec3(value, what: str) -> np.ndarray:
     return arr
 
 
+def _as_stack(value, what: str) -> np.ndarray:
+    """A float copy of a (k, 3) stack of rows, one 3-vector each."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"{what} must be a stack of 3-vectors, got shape {arr.shape}")
+    return arr
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i].dot(b[i]) for every row i, to the bit.
+
+    matmul of one row by one column runs the dtype's own dot loop, the
+    one ndarray.dot runs on two 3-vectors; einsum sums in another order.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class PhotonMode(_Rebuilt):
     """A single-photon mode label: momentum 3-vector plus transverse polarization.
@@ -103,6 +120,15 @@ class HouseholderReflection(_Rebuilt):
         object.__setattr__(self, "normal", _read_only(self.normal))
         object.__setattr__(self, "matrix", _read_only(self.matrix))
 
+    @classmethod
+    def _owning(cls, normal: np.ndarray, matrix: np.ndarray) -> HouseholderReflection:
+        """A reflection that freezes and keeps two fresh arrays no caller holds, uncopied."""
+        reflection = object.__new__(cls)
+        for name, arr in (("normal", normal), ("matrix", matrix)):
+            arr.setflags(write=False)
+            object.__setattr__(reflection, name, arr)
+        return reflection
+
     def __eq__(self, other):
         if not isinstance(other, HouseholderReflection):
             return NotImplemented
@@ -129,7 +155,66 @@ def householder(normal) -> HouseholderReflection:
     # only churn last bits and make normalization non-idempotent
     if abs(length - 1.0) > 4.0 * _EPS:
         n = n / length
-    return HouseholderReflection(normal=n, matrix=_EYE3 - 2.0 * (n[:, None] * n))
+    # n is _as_vec3's copy or made from it here, so no caller holds it
+    return HouseholderReflection._owning(n, _EYE3 - 2.0 * (n[:, None] * n))
+
+
+def _reflections(normals) -> tuple[np.ndarray, np.ndarray]:
+    """(unit normals, matrices) of a (k, 3) stack of normals, row i as householder builds it.
+
+    The rules, arithmetic and messages are householder's, row by row, so
+    each row matches householder's normal and matrix to the bit. A stack
+    with a row householder refuses raises what householder raises for
+    the first such row.
+    """
+    n = _as_stack(normals, "normal")
+    finite = np.isfinite(n).all(axis=1)
+    refused = ~finite | ~n.any(axis=1)
+    if refused.any():
+        row = int(refused.argmax())
+        if not finite[row]:
+            raise ValueError("normal must be finite")
+        raise ConfigurationError("degenerate normal: zero vector defines no plane")
+    # householder squares Python floats, which never warn on overflow
+    with np.errstate(all="ignore"):
+        x, y, z = n.T
+        squared = x * x + y * y + z * z
+    out = ~((_SQUARED_RANGE[0] <= squared) & (squared <= _SQUARED_RANGE[1]))
+    if out.any():
+        largest = np.abs(n[out]).max(axis=1)
+        n[out] = np.ldexp(n[out], -np.frexp(largest)[1][:, None])
+    length = np.sqrt(_row_dots(n, n))
+    # a row already unit to rounding is divided by 1.0, which keeps its bits
+    n /= np.where(np.abs(length - 1.0) > 4.0 * _EPS, length, 1.0)[:, None]
+    return n, _EYE3 - 2.0 * (n[:, :, None] * n[:, None, :])
+
+
+_MODE_FAULTS = ("momentum must be finite", "polarization must be finite",
+                "momentum must be nonzero", "polarization must be a unit vector",
+                "polarization must be transverse to the momentum")
+
+
+def _mode_energies(momenta, polarizations) -> np.ndarray:
+    """Energies |p| of a (k, 3) stack of modes, row i checked as PhotonMode checks one.
+
+    The rules, arithmetic and messages are PhotonMode's, row by row, so
+    each energy matches PhotonMode.energy to the bit. A stack with a row
+    PhotonMode refuses raises what PhotonMode raises for the first such
+    row.
+    """
+    p, e = _as_stack(momenta, "momentum"), _as_stack(polarizations, "polarization")
+    # PhotonMode's ndarray.dot never warns; a row that is not finite is
+    # refused before its other checks are read
+    with np.errstate(all="ignore"):
+        energy = np.sqrt(_row_dots(p, p))
+        faults = np.stack((~np.isfinite(p).all(axis=1), ~np.isfinite(e).all(axis=1),
+                           energy == 0.0,
+                           np.abs(np.sqrt(_row_dots(e, e)) - 1.0) > _UNIT_TOL,
+                           np.abs(_row_dots(e, p)) > _UNIT_TOL * energy))
+    refused = faults.any(axis=0)
+    if refused.any():
+        raise ValueError(_MODE_FAULTS[int(faults[:, refused.argmax()].argmax())])
+    return energy
 
 
 def reflect_mode(reflection: HouseholderReflection, mode: PhotonMode) -> PhotonMode:

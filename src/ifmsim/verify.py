@@ -27,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import fock
+from . import fock, optics
 from .optics import GaussianPacket, PhotonMode, householder, packet_overlap, two_port_rotation
 
 _ANGLE_GRID = tuple(np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)) + (
@@ -126,17 +126,14 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
         pol[short] = np.cross(p[short], rng.normal(size=(short.sum(), 3)))
     pol /= np.linalg.norm(pol, axis=1, keepdims=True)
 
-    # the library builds (and validates) every reflection and every mode;
-    # only the checks on them run over the stacks
-    r, modes = zip(*[(householder(normal).matrix, PhotonMode(momentum=m, polarization=e))
-                     for normal, m, e in zip(normals, p, pol)])
-    r = np.stack(r)
+    # the reflection lines build and check every row in one stack
+    unit, r = optics._reflections(normals)
+    energy = optics._mode_energies(p, pol)
     worst_det = float(np.max(np.abs(np.linalg.det(r) + 1.0)))
     worst_invol = float(np.max(np.abs(r @ r - np.eye(3))))
     worst_orth = float(np.max(np.abs(r.transpose(0, 2, 1) @ r - np.eye(3))))
-    out_p = np.einsum("nij,nj->ni", r, np.stack([mode.momentum for mode in modes]))
-    out_pol = np.einsum("nij,nj->ni", r, np.stack([mode.polarization for mode in modes]))
-    energy = np.array([mode.energy for mode in modes])
+    out_p = np.einsum("nij,nj->ni", r, p)
+    out_pol = np.einsum("nij,nj->ni", r, pol)
     worst_energy = float(np.max(np.abs(np.linalg.norm(out_p, axis=1) - energy)))
     worst_transverse = float(np.max(np.abs(np.einsum("ni,ni->n", out_pol, out_p))))
     results.append(CheckResult("reflection preserves |p|", worst_energy, 1e-12))
@@ -144,6 +141,18 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     results.append(CheckResult("reflection determinant -1", worst_det, 1e-12))
     results.append(CheckResult("reflection involutive", worst_invol, 1e-14))
     results.append(CheckResult("reflection orthogonal", worst_orth, 1e-14))
+
+    # the stack must equal what the scalar constructors, which layouts
+    # use, build from the same rows; the draws are independent, so the
+    # first 64 rows are as random a subset as any
+    head = slice(0, 64)
+    built = [householder(normal) for normal in normals[head]]
+    energies = [PhotonMode(momentum=m, polarization=e).energy for m, e in zip(p[head], pol[head])]
+    gap = max(np.max(np.abs(np.stack([b.normal for b in built]) - unit[head])),
+              np.max(np.abs(np.stack([b.matrix for b in built]) - r[head])),
+              np.max(np.abs(np.array(energies) - energy[head])))
+    results.append(CheckResult("stacked reflections and modes equal the scalar constructors",
+                               float(gap), 0.0))
 
     worst = 0.0
     for alpha in _ANGLE_GRID:

@@ -17,7 +17,7 @@ from ifmsim import (
     reflect_mode,
     two_port_rotation,
 )
-from ifmsim.optics import HouseholderReflection
+from ifmsim.optics import HouseholderReflection, _mode_energies, _reflections
 
 
 def test_householder_properties_random_normals():
@@ -55,6 +55,113 @@ def test_householder_exact_power_of_two_scaling_keeps_the_bits():
             scaled = householder(np.ldexp(normal, power))
             assert np.array_equal(scaled.normal, expected.normal)
             assert np.array_equal(scaled.matrix, expected.matrix)
+
+
+def test_householder_keeps_read_only_arrays_apart_from_its_input():
+    # divided, already unit (no division) and rescaled by a power of two
+    for given in (np.array([0.0, 0.0, -7.0]), np.array([1.0, 0.0, 0.0]),
+                  np.array([2.0**600, 0.0, 2.0**600])):
+        reflection = householder(given)
+        built = HouseholderReflection(given, np.eye(3))
+        for arr in (reflection.normal, reflection.matrix, built.normal, built.matrix):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, given)
+
+
+def _raised(build, *args):
+    with pytest.raises(Exception) as caught:
+        build(*args)
+    return type(caught.value), str(caught.value)
+
+
+def test_reflection_stack_equals_householder_on_edge_rows():
+    # pytest turns warnings into errors, so the stack squares 1e200 and
+    # 2**600 without an overflow warning, as householder's floats do
+    rng = np.random.default_rng(4)
+    drawn = rng.normal(size=(20, 3))
+    rows = np.array([
+        # unit to rounding: householder skips the division (its idempotence guard)
+        *(householder(n).normal for n in drawn),
+        *drawn / np.linalg.norm(drawn, axis=1, keepdims=True),
+        (1.0, -1.0, 0.0), (0.0, 0.0, -7.0), (1e200, -1e200, 0.0), (-1e200, 1e200, 1e200),
+        (2.0**600, -(2.0**600), 0.0), (2.0**-600, 2.0**-600, 0.0), (3e-200, -3e-200, 0.0),
+        (5e-324, 0.0, 0.0), (1e300, 1.0, -1e-300), (0.6 * 2.0**600, 0.8 * 2.0**600, 0.0),
+    ])
+    unit, matrices = _reflections(rows)
+    for row, n, m in zip(rows, unit, matrices):
+        reflection = householder(row)
+        assert reflection.normal.tobytes() == n.tobytes()
+        assert reflection.matrix.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("refused", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (math.nan, 1.0, 0.0),
+                                     (1.0, -math.inf, 0.0)])
+def test_reflection_stack_refuses_what_householder_refuses(refused):
+    expected = _raised(householder, refused)
+    # a refused row decides wherever it sits, and the first one decides
+    # over a later row refused for the other reason
+    other = (math.inf, 0.0, 0.0) if all(map(math.isfinite, refused)) else (0.0, 0.0, 0.0)
+    assert _raised(_reflections, [refused]) == expected
+    assert _raised(_reflections, [(1.0, 2.0, 3.0), refused, other]) == expected
+
+
+def test_stacks_refuse_rows_that_are_not_3_vectors():
+    message = "normal must be a stack of 3-vectors, got shape (3,)"
+    assert _raised(_reflections, (1.0, 0.0, 0.0)) == (ValueError, message)
+    message = "polarization must be a stack of 3-vectors, got shape (1, 2)"
+    assert _raised(_mode_energies, [(1.0, 0.0, 0.0)], [(0.0, 1.0)]) == (ValueError, message)
+
+
+_MODE = ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("momentum, polarization", [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 2.0)),
+    ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((math.nan, 0.0, 0.0), (0.0, math.inf, 1.0)),
+    ((1.0, 0.0, 0.0), (0.0, math.inf, 1.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, math.nan)),
+])
+def test_mode_stack_refuses_what_photon_mode_refuses(momentum, polarization):
+    expected = _raised(PhotonMode, momentum, polarization)
+    # the first refused row decides over a later row refused for another reason
+    later = ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    if _raised(PhotonMode, *later) == expected:
+        later = ((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
+    assert _raised(_mode_energies, [momentum], [polarization]) == expected
+    assert _raised(_mode_energies, [_MODE[0], momentum, later[0]],
+                   [_MODE[1], polarization, later[1]]) == expected
+
+
+# _UNIT_TOL is 1e-9: each probe sits 10% inside or outside it, for |p| 1
+# and 10, so a looser tolerance or one not scaled by |p| shows
+@pytest.mark.parametrize("energy", [1.0, 10.0])
+@pytest.mark.parametrize("offset, fault", [
+    (0.9e-9, None), (1.1e-9, "polarization must be a unit vector"),
+    (-0.9e-9, None), (-1.1e-9, "polarization must be a unit vector"),
+])
+def test_unit_polarization_at_the_tolerance_edge(energy, offset, fault):
+    _probe_mode((energy, 0.0, 0.0), (0.0, 0.0, 1.0 + offset), fault)
+
+
+@pytest.mark.parametrize("energy", [1.0, 10.0])
+@pytest.mark.parametrize("lean, fault", [
+    (0.9e-9, None), (1.1e-9, "polarization must be transverse to the momentum"),
+    (-0.9e-9, None), (-1.1e-9, "polarization must be transverse to the momentum"),
+])
+def test_transverse_polarization_at_the_tolerance_edge(energy, lean, fault):
+    # |e| is 1 to rounding, and e.p is lean * |p|
+    _probe_mode((energy, 0.0, 0.0), (lean, 0.0, math.sqrt(1.0 - lean * lean)), fault)
+
+
+def _probe_mode(momentum, polarization, fault):
+    if fault is None:
+        energy = _mode_energies([momentum], [polarization])
+        assert energy.tobytes() == np.array([PhotonMode(momentum, polarization).energy]).tobytes()
+    else:
+        assert _raised(PhotonMode, momentum, polarization) == (ValueError, fault)
+        assert _raised(_mode_energies, [momentum], [polarization]) == (ValueError, fault)
 
 
 def test_householder_normalizes_input():

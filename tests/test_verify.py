@@ -5,22 +5,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifmsim import fock, verify
+from ifmsim import fock, optics, verify
 from ifmsim.optics import HouseholderReflection, PhotonMode, householder
 
 
+STACK = "stacked reflections and modes equal the scalar constructors"
+_reflections = optics._reflections
+_mode_energies = optics._mode_energies
+
+
+def _failed_lines(owner, name, fault, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, fault)
+        buffer = io.StringIO()
+        assert not verify.run_verification(buffer)
+    return re.findall(r"^\[FAIL\] (.+?): ", buffer.getvalue(), flags=re.MULTILINE)
+
+
 def test_optics_checks_test_the_library_reflection(monkeypatch):
-    # the batched checks must still go through the module's own householder
+    # the reflection lines read the stack, and the stack line ties the
+    # stack to the householder that layouts build with
+    def skewed_stack(normals):
+        unit, matrices = _reflections(normals)
+        matrices[:, 0, 1] += 1e-10
+        return unit, matrices
+
     def skewed(normal):
         reflection = householder(normal)
         matrix = reflection.matrix.copy()
         matrix[0, 1] += 1e-10
         return HouseholderReflection(normal=reflection.normal, matrix=matrix)
 
-    monkeypatch.setattr(verify, "householder", skewed)
-    buffer = io.StringIO()
-    assert not verify.run_verification(buffer)
-    assert "[FAIL] reflection involutive: " in buffer.getvalue()
+    failed = _failed_lines(optics, "_reflections", skewed_stack, monkeypatch)
+    assert {"reflection involutive", STACK} <= set(failed)
+    assert _failed_lines(verify, "householder", skewed, monkeypatch) == [STACK]
 
 
 def test_optics_checks_redraw_rows_under_their_floors(monkeypatch):
@@ -48,16 +66,43 @@ def test_optics_checks_redraw_rows_under_their_floors(monkeypatch):
 
 
 def test_optics_checks_test_the_library_photon_mode(monkeypatch):
-    # |p| after the reflection is compared with the library's own mode energy
+    # |p| after the reflection is compared with the stack's energies, and
+    # the stack line ties those to the library's own mode energy
     class Skewed(PhotonMode):
         @property
         def energy(self):
             return super().energy + 1e-10
 
-    monkeypatch.setattr(verify, "PhotonMode", Skewed)
-    buffer = io.StringIO()
-    assert not verify.run_verification(buffer)
-    assert "[FAIL] reflection preserves |p|: " in buffer.getvalue()
+    failed = _failed_lines(optics, "_mode_energies",
+                           lambda p, e: _mode_energies(p, e) + 1e-10, monkeypatch)
+    assert {"reflection preserves |p|", STACK} <= set(failed)
+    assert _failed_lines(verify, "PhotonMode", Skewed, monkeypatch) == [STACK]
+
+
+def test_stack_equals_the_scalar_constructors_on_every_verify_row(monkeypatch):
+    # every row verify draws, not only the subset its stack line compares
+    seen = {}
+
+    def spy(name):
+        original = getattr(optics, name)
+
+        def record(*args):
+            seen[name] = (args, original(*args))
+            return seen[name][1]
+        return record
+
+    for name in ("_reflections", "_mode_energies"):
+        monkeypatch.setattr(optics, name, spy(name))
+    assert all(result.passed for result in verify.optics_checks())
+    (normals,), (unit, matrices) = seen["_reflections"]
+    (momenta, polarizations), energies = seen["_mode_energies"]
+    assert len(normals) == len(momenta) == 1000
+    built = [householder(normal) for normal in normals]
+    assert np.stack([b.normal for b in built]).tobytes() == unit.tobytes()
+    assert np.stack([b.matrix for b in built]).tobytes() == matrices.tobytes()
+    scalar = [PhotonMode(momentum=m, polarization=e).energy
+              for m, e in zip(momenta, polarizations)]
+    assert np.array(scalar).tobytes() == energies.tobytes()
 
 
 POWER = "sector blocks equal the symmetric power of the two-port rotation"
