@@ -148,9 +148,10 @@ def optics_checks(samples: int = 1000, seed: int = 20260822) -> list[CheckResult
     head = slice(0, 64)
     built = [householder(normal) for normal in normals[head]]
     energies = [PhotonMode(momentum=m, polarization=e).energy for m, e in zip(p[head], pol[head])]
-    gap = max(np.max(np.abs(np.stack([b.normal for b in built]) - unit[head])),
-              np.max(np.abs(np.stack([b.matrix for b in built]) - r[head])),
-              np.max(np.abs(np.array(energies) - energy[head])))
+    # np.max, unlike max, keeps a NaN gap
+    gap = np.max([np.max(np.abs(np.stack([b.normal for b in built]) - unit[head])),
+                  np.max(np.abs(np.stack([b.matrix for b in built]) - r[head])),
+                  np.max(np.abs(np.array(energies) - energy[head]))])
     results.append(CheckResult("stacked reflections and modes equal the scalar constructors",
                                float(gap), 0.0))
 

@@ -77,6 +77,10 @@ def test_optics_checks_test_the_library_photon_mode(monkeypatch):
                            lambda p, e: _mode_energies(p, e) + 1e-10, monkeypatch)
     assert {"reflection preserves |p|", STACK} <= set(failed)
     assert _failed_lines(verify, "PhotonMode", Skewed, monkeypatch) == [STACK]
+    # a NaN energy is a gap too, though the gaps before it are 0
+    failed = _failed_lines(optics, "_mode_energies",
+                           lambda p, e: _mode_energies(p, e) * np.nan, monkeypatch)
+    assert STACK in failed
 
 
 def test_stack_equals_the_scalar_constructors_on_every_verify_row(monkeypatch):
