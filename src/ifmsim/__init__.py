@@ -13,7 +13,6 @@ from .fock import (
     commutator,
     commutator_preservation_check,
     ladder,
-    number_operator,
     rotation_check,
     v_unitary,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "commutator",
     "commutator_preservation_check",
     "ladder",
-    "number_operator",
     "rotation_check",
     "v_unitary",
     "ElementKind",

@@ -27,9 +27,11 @@ n_p + n_q > n_max, so the result equals the exponential of the dense
 truncated generator. The generator does not depend on the angle, so a
 space diagonalizes each sector once, when a call first needs it, and
 keeps the eigensystem for its own lifetime; each call only forms the
-angle's phases. `v_unitary` scatters the sector blocks into a dense
-matrix; `rotation_check` applies them sector by sector and forms no dense
-unitary or ladder.
+angle's phases. Each call evaluates all the sectors it needs as one
+stack, zero-padded to the largest sector, with one batched matmul:
+`v_unitary` scatters the stack into a dense matrix with one indexed
+assignment, and `rotation_check` takes every sector's defect from the
+stack at once and forms no dense unitary or ladder.
 
 The operators that are returned are dense dim x dim complex128 matrices,
 so `build_space` refuses any space whose single operator would exceed
@@ -158,15 +160,6 @@ def ladder(space: FockSpace, mode: str, kind: str) -> np.ndarray:
     return a
 
 
-def number_operator(space: FockSpace, mode: str | None = None) -> np.ndarray:
-    """Diagonal photon-number operator; totals over all modes when mode is None."""
-    if mode is None:
-        diag = space.occupations.sum(axis=1)
-    else:
-        diag = space.occupations[:, space.mode_position(mode)]
-    return np.diag(diag.astype(np.complex128))
-
-
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     y = np.asarray(y)
@@ -184,23 +177,40 @@ def _pair_positions(space: FockSpace, mode_pair) -> tuple[int, int]:
     return space.mode_position(p), space.mode_position(q)
 
 
-def _sector_block(space: FockSpace, total: int, alpha: float) -> tuple:
-    """(total, n_p, block): the rotation's real block for pair number total.
+def _sector_stack(space: FockSpace, alpha: float, top: int) -> np.ndarray:
+    """(top, m, m) stack of the rotation's real blocks for pair numbers 0..top-1.
 
-    exp(alpha G) = U exp(-i alpha lam) U+ from the space's eigensystem of
-    the Hermitian i G; G is real, so the imaginary part is rounding and is
-    dropped.
+    Block N is exp(alpha G) = U exp(-i alpha lam) U+ from the space's
+    eigensystem of the Hermitian i G, zero-padded to the largest sector's
+    size m; row and column k hold n_p = max(0, N - n_max) + k (see
+    `_padded_sectors`). G is real, so the imaginary part is rounding and
+    is dropped. Every block comes from one batched matmul.
     """
-    n_p, lam, u = space._sector_eigensystem(total)
-    return total, n_p, ((u * np.exp(-1j * alpha * lam)) @ u.conj().T).real
-
-
-def _sector_blocks(space: FockSpace, alpha: float):
-    """Iterator of `_sector_block` over pair numbers 0..2 n_max."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("rotation angle must be finite")
-    return (_sector_block(space, total, alpha) for total in range(2 * space.n_max + 1))
+    m = min(top, space.n_max + 1)
+    lam = np.zeros((top, m))
+    u = np.zeros((top, m, m), dtype=np.complex128)
+    for total in range(top):
+        _, lam_n, u_n = space._sector_eigensystem(total)
+        size = len(lam_n)
+        lam[total, :size] = lam_n
+        u[total, :size, :size] = u_n
+    phased = u * np.exp(-1j * alpha * lam)[:, None, :]
+    return (phased @ np.conj(u, out=u).transpose(0, 2, 1)).real
+
+
+def _padded_sectors(space: FockSpace, top: int) -> tuple:
+    """(totals, n_p, valid) over the rows of a `_sector_stack` of top sectors.
+
+    totals is (top, 1), n_p and valid are (top, m): row k of block N holds
+    n_p = max(0, N - n_max) + k, a state of the sector when valid.
+    """
+    m = min(top, space.n_max + 1)
+    totals = np.arange(top)[:, None]
+    n_p = np.maximum(0, totals - space.n_max) + np.arange(m)
+    return totals, n_p, n_p <= np.minimum(totals, space.n_max)
 
 
 def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
@@ -218,17 +228,19 @@ def v_unitary(space: FockSpace, mode_pair, alpha: float) -> np.ndarray:
     as the same [[c, s], [-s, c]] matrix the analytic engine uses, which
     is what makes this module a cross-check of that engine.
     """
-    blocks = _sector_blocks(space, alpha)
+    top = 2 * space.n_max + 1
+    blocks = _sector_stack(space, alpha, top)
     pos_p, pos_q = _pair_positions(space, mode_pair)
     stride_p = (space.n_max + 1) ** (len(space.modes) - 1 - pos_p)
     stride_q = (space.n_max + 1) ** (len(space.modes) - 1 - pos_q)
+    totals, n_p, valid = _padded_sectors(space, top)
+    offset = n_p * stride_p + (totals - n_p) * stride_q
+    sector, row, col = np.nonzero(valid[:, :, None] & valid[:, None, :])
     # one base index per occupation of the other modes, with p and q empty
     occ = space.occupations
-    bases = np.flatnonzero((occ[:, pos_p] == 0) & (occ[:, pos_q] == 0))
+    bases = np.flatnonzero((occ[:, pos_p] == 0) & (occ[:, pos_q] == 0))[:, None]
     v = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for total, n_p, block in blocks:
-        index = bases[:, None] + n_p * stride_p + (total - n_p) * stride_q
-        v[index[:, :, None], index[:, None, :]] = block
+    v[bases + offset[sector, row], bases + offset[sector, col]] = blocks[sector, row, col]
     return v
 
 
@@ -245,24 +257,40 @@ def rotation_check(space: FockSpace, mode_pair, alpha: float, restrict: bool = T
 
     V is block-diagonal in the pair number and a lowers it by one, so the
     columns of pair number N hold V_{N-1}^T L V_N - (c L_p +- s L_q), with
-    L the lowering map from sector N into N - 1. The defect is the same
-    for every occupation of the other modes, so each sector's squared
-    norm counts once per such occupation; no dense matrix is formed.
+    L the lowering map from sector N into N - 1. L has at most one entry
+    per column, so V_{N-1}^T L gathers rows of V_{N-1}, and every sector's
+    defect comes from one stack of blocks at once. The defect is the same
+    for every occupation of the other modes, so each sector's squared norm
+    counts once per such occupation; no dense matrix is formed.
     """
-    blocks = _sector_blocks(space, alpha)
+    top = space.n_max if restrict else 2 * space.n_max + 1
+    blocks = _sector_stack(space, alpha, top)
     _pair_positions(space, mode_pair)
     c, s = math.cos(alpha), math.sin(alpha)
-    top = space.n_max if restrict else 2 * space.n_max + 1
-    sum_p = sum_q = 0.0
-    for (_, prev_n_p, prev), (total, n_p, block) in itertools.pairwise(
-            itertools.islice(blocks, top)):
-        # a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q>, a_q |n_p, n_q> = sqrt(n_q) |n_p, n_q-1>
-        low_p = (prev_n_p[:, None] == n_p - 1) * np.sqrt(n_p)
-        low_q = (prev_n_p[:, None] == n_p) * np.sqrt(total - n_p)
-        sum_p += float(np.sum((prev.T @ low_p @ block - (c * low_p + s * low_q)) ** 2))
-        sum_q += float(np.sum((prev.T @ low_q @ block - (c * low_q - s * low_p)) ** 2))
+    totals, n_p, valid = _padded_sectors(space, top)
+    # a_p |n_p, n_q> = sqrt(n_p) |n_p-1, n_q>, a_q |n_p, n_q> = sqrt(n_q) |n_p, n_q-1>:
+    # column k of sector N goes to row n_p - 1 - first or n_p - first of
+    # sector N - 1, whose row 0 holds n_p = first
+    first = n_p[:-1, :1]
+    n_p, n_q, valid = n_p[1:], totals[1:] - n_p[1:], valid[1:]
+    sector, column = np.arange(top - 1)[:, None], np.arange(blocks.shape[1])
+    # column k of L_p and of L_q: its one row and entry (0 where it has none)
+    maps = []
+    for row, quanta in ((n_p - 1 - first, n_p), (n_p - first, n_q)):
+        reached = valid & (quanta > 0)
+        maps.append((np.where(reached, row, 0), np.sqrt(np.where(reached, quanta, 0))))
+    worst = 0.0
+    # a_p against c a_p + s a_q, and a_q against c a_q - s a_p
+    for (row, low), (other_row, other_low), sign in ((*maps, 1.0), (*maps[::-1], -1.0)):
+        # row k is V_{N-1}'s row at column k's image, scaled: (V_{N-1}^T L)^T
+        gathered = blocks[:-1][sector, row]
+        gathered *= low[..., None]
+        defect = gathered.transpose(0, 2, 1) @ blocks[1:]
+        defect[sector, row, column] -= c * low
+        defect[sector, other_row, column] -= sign * s * other_low
+        worst = max(worst, float(np.sum(defect ** 2)))
     copies = space.dim // (space.n_max + 1) ** 2
-    return math.sqrt(copies * max(sum_p, sum_q))
+    return math.sqrt(copies * worst)
 
 
 def commutator_preservation_check(space: FockSpace, mode_pair, alpha: float) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -52,20 +51,32 @@ def _symmetric_power(space: fock.FockSpace, alpha: float) -> tuple[list, np.ndar
     a+_q to s a+_p + c a+_q. Column |n, N-n> holds the coefficients of
     (c a+_p - s a+_q)^n (s a+_p + c a+_q)^(N-n) / sqrt(n! (N-n)!), and row
     |k, N-k> reads the coefficient of a+_p^k a+_q^(N-k) times
-    sqrt(k! (N-k)!). Indexed by the power of a+_p, coefficient rows
-    multiply by np.convolve. reference holds the dense columns, N <= n_max.
+    sqrt(k! (N-k)!). Indexed by the power of a+_p, multiplying a
+    coefficient column by (x a+_p + y a+_q) is the two-tap step
+    col[k] -> y col[k] + x col[k-1], as np.convolve(col, (y, x)) takes it.
+    So sector N's unscaled columns follow from sector N-1's: column n < N
+    is column n of N-1 times (s a+_p + c a+_q), and column N is column N-1
+    of N-1 times (c a+_p - s a+_q). The factors are the ones a product of
+    N two-tap convolutions would apply, in the same order, and each entry
+    is a sum of at most two products. reference holds the dense columns,
+    N <= n_max, in that order.
     """
     c, s = math.cos(alpha), math.sin(alpha)
-    columns, reference = [], np.zeros((space.dim, space.dim))
+    width = (space.n_max + 1) * (space.n_max + 2) // 2
+    columns, reference = [], np.zeros((space.dim, width))
+    powers = np.ones((1, 1))
     for total in range(space.n_max + 1):
+        if total:
+            # the previous sector's columns, its last one taken twice
+            base = np.append(powers, powers[:, -1:], axis=1)
+            powers = np.zeros((total + 1, total + 1))
+            powers[:-1] = base * ([c] * total + [-s])
+            powers[1:] += base * ([s] * total + [c])
         index = [space.index_of((k, total - k)) for k in range(total + 1)]
         norm = np.sqrt([math.factorial(k) * math.factorial(total - k) for k in range(total + 1)])
-        powers = [reduce(np.convolve, [(-s, c)] * n + [(c, s)] * (total - n), [1.0])
-                  for n in range(total + 1)]
-        # powers[n] is column n before its scaling
-        reference[np.ix_(index, index)] = np.transpose(powers) * norm[:, None] / norm
+        reference[index, len(columns):len(columns) + total + 1] = powers * norm[:, None] / norm
         columns += index
-    return columns, reference[:, columns]
+    return columns, reference
 
 
 def fock_checks(n_max: int = 6) -> list[CheckResult]:

@@ -167,6 +167,37 @@ def test_general_refuses_pairwise_speed_beyond_leg_rapidities():
     assert consistent == pytest.approx(1.70e-4, rel=1e-3)
 
 
+@pytest.mark.parametrize("excess, accepted", [(1e-12, True), (3e-12, False)])
+def test_general_charge_conservation_edge(excess, accepted):
+    # an outgoing pair of charges -1 and 1 + x: the net charge x is held to
+    # 1e-12 of sum |q| = 2 + x, so the edge sits at x = 2e-12
+    legs = [ProcessLeg(-1.0, 1, 0.0), ProcessLeg(1.0 + excess, 1, 0.5)]
+    pairwise = [[0.0, 0.5], [0.5, 0.0]]
+    if accepted:
+        factor = weinberg_factor_general(legs, pairwise)
+        assert factor == pytest.approx(weinberg_factor_fermion(0.5), rel=1e-10)
+    else:
+        with pytest.raises(ValueError, match="charge conservation"):
+            weinberg_factor_general(legs, pairwise)
+
+
+@pytest.mark.parametrize("offset, accepted", [
+    (5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)])
+def test_general_rapidity_bound_edge(offset, accepted):
+    # a leg at rest and a leg at 0.5 move apart at rapidity exactly
+    # atanh(0.5), both ends of the bound; a pairwise speed whose rapidity
+    # is off by more than the 1e-9 slack, either way, is refused
+    legs, _ = _rest_to_beta_legs(0.5)
+    beta = math.tanh(math.atanh(0.5) + offset)
+    pairwise = [[0.0, beta], [beta, 0.0]]
+    if accepted:
+        factor = weinberg_factor_general(legs, pairwise)
+        assert factor == pytest.approx(weinberg_factor_fermion(0.5), rel=1e-8)
+    else:
+        with pytest.raises(ValueError, match=r"legs 0 and 1: pairwise rapidity"):
+            weinberg_factor_general(legs, pairwise)
+
+
 def test_process_leg_validation():
     with pytest.raises(ValueError, match="eta"):
         ProcessLeg(1.0, 0, 0.5)

@@ -1,5 +1,7 @@
 import io
+import math
 import re
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +112,7 @@ def test_stack_equals_the_scalar_constructors_on_every_verify_row(monkeypatch):
 
 
 POWER = "sector blocks equal the symmetric power of the two-port rotation"
-_block = fock._sector_block
+_stack = fock._sector_stack
 _eigensystem = fock.FockSpace._sector_eigensystem
 _positions = fock._pair_positions
 
@@ -124,19 +126,18 @@ def _skewed_hop(space, total):
     return (n_p, *np.linalg.eigh(generator))
 
 
-def _transposed(space, total, alpha):
-    total, n_p, block = _block(space, total, alpha)
-    return total, n_p, block.T
+def _transposed(space, alpha, top):
+    return _stack(space, alpha, top).transpose(0, 2, 1)
 
 
 # fault -> (owner, name, replacement); abs(alpha) shows only at the
 # line's negative angle, and no other line sees the strides swap
 SECTOR_FAULTS = {
     "hopping amplitude x1.01": (fock.FockSpace, "_sector_eigensystem", _skewed_hop),
-    "angle x1.01": (fock, "_sector_block", lambda s, t, a: _block(s, t, 1.01 * a)),
-    "angle sign flipped": (fock, "_sector_block", lambda s, t, a: _block(s, t, -a)),
-    "transposed sector block": (fock, "_sector_block", _transposed),
-    "abs(alpha)": (fock, "_sector_block", lambda s, t, a: _block(s, t, abs(a))),
+    "angle x1.01": (fock, "_sector_stack", lambda s, a, t: _stack(s, 1.01 * a, t)),
+    "angle sign flipped": (fock, "_sector_stack", lambda s, a, t: _stack(s, -a, t)),
+    "transposed sector block": (fock, "_sector_stack", _transposed),
+    "abs(alpha)": (fock, "_sector_stack", lambda s, a, t: _stack(s, abs(a), t)),
     "p and q strides swapped": (fock, "_pair_positions",
                                 lambda s, pair: _positions(s, pair)[::-1]),
 }
@@ -149,6 +150,28 @@ def test_symmetric_power_line_catches_sector_faults(fault, monkeypatch):
     buffer = io.StringIO()
     assert not verify.run_verification(buffer)
     assert f"[FAIL] {POWER}: " in buffer.getvalue()
+
+
+@pytest.mark.parametrize("n_max", [1, 6, 12])
+def test_symmetric_power_recurrence_equals_the_convolution_product(n_max):
+    # column n of sector N as the product of its N two-tap factors
+    space = fock.build_space(("p", "q"), n_max)
+    for alpha in (math.pi / 7, -1.0, 2.0, 0.3, -2.9):
+        c, s = math.cos(alpha), math.sin(alpha)
+        columns, reference = verify._symmetric_power(space, alpha)
+        start = 0
+        for total in range(n_max + 1):
+            index = [space.index_of((k, total - k)) for k in range(total + 1)]
+            norm = np.sqrt([math.factorial(k) * math.factorial(total - k)
+                            for k in range(total + 1)])
+            powers = [reduce(np.convolve, [(-s, c)] * n + [(c, s)] * (total - n), [1.0])
+                      for n in range(total + 1)]
+            block = reference[np.ix_(index, range(start, start + total + 1))]
+            assert np.array_equal(block, np.transpose(powers) * norm[:, None] / norm)
+            assert columns[start:start + total + 1] == index
+            start += total + 1
+        assert start == len(columns) == reference.shape[1]
+        assert not np.delete(reference, columns, axis=0).any()
 
 
 def test_readme_lists_the_verify_lines_in_order():
